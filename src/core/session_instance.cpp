@@ -42,10 +42,11 @@ std::unique_ptr<stream::AbrAlgorithm> make_abr(const SessionConfig& config) {
 
 }  // namespace
 
-// Frequency series + change events, and mean CPU power per constant-
-// frequency stretch. The listener fires after the model has settled
-// accounting at `now` (advance() precedes it in set_frequency), so the
-// energy probe reads committed state and perturbs nothing.
+// Frequency series and mean CPU power per constant-frequency stretch,
+// built only for a tracer that keeps a timeline. The listener fires after
+// the model has settled accounting at `now` (advance() precedes it in
+// set_frequency), so the energy probe reads committed state and perturbs
+// nothing.
 struct SessionInstance::PowerProbe {
   sim::Simulator* sim;
   cpu::CpuModel* cpu;
@@ -143,21 +144,28 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
   cpu::CpufreqPolicy& policy = *policies_[0];
   policy.set_tracer(tracer);
 
+  // kFreqChange on every cluster, whether or not the tracer keeps a timeline.
+  const auto trace_freq_changes = [sim = &simulator_, tracer](cpu::CpuModel& model,
+                                                              std::uint64_t cluster) {
+    model.add_freq_listener([sim, tracer, cluster](std::uint32_t old_khz, std::uint32_t new_khz) {
+      tracer->record(sim->now(), obs::EventKind::kFreqChange, old_khz, new_khz, cluster);
+    });
+  };
   if (tracer != nullptr) {
     tracer->record(simulator_.now(), obs::EventKind::kSessionBegin, config.seed,
                    static_cast<std::uint64_t>(config.media_duration.as_micros()));
-    power_probe_ = std::make_shared<PowerProbe>(
-        PowerProbe{&simulator_, &cpu_model, tracer, simulator_.now(), cpu_model.energy_mj()});
-    tracer->timeline().push(obs::SeriesId::kFreqKhz, simulator_.now(),
-                            static_cast<double>(cpu_model.cur_freq_khz()));
-    cpu_model.add_freq_listener([probe = power_probe_](std::uint32_t old_khz,
-                                                       std::uint32_t new_khz) {
-      const sim::SimTime now = probe->sim->now();
-      probe->tracer->record(now, obs::EventKind::kFreqChange, old_khz, new_khz, 0);
-      probe->tracer->timeline().push(obs::SeriesId::kFreqKhz, now,
-                                     static_cast<double>(new_khz));
-      probe->flush();
-    });
+    trace_freq_changes(cpu_model, 0);
+    if (tracer->keeps_timeline()) {
+      power_probe_ = std::make_shared<PowerProbe>(
+          PowerProbe{&simulator_, &cpu_model, tracer, simulator_.now(), cpu_model.energy_mj()});
+      tracer->timeline().push(obs::SeriesId::kFreqKhz, simulator_.now(),
+                              static_cast<double>(cpu_model.cur_freq_khz()));
+      cpu_model.add_freq_listener([probe = power_probe_](std::uint32_t, std::uint32_t new_khz) {
+        probe->tracer->timeline().push(obs::SeriesId::kFreqKhz, probe->sim->now(),
+                                       static_cast<double>(new_khz));
+        probe->flush();
+      });
+    }
   }
 
   tree_ = std::make_unique<sysfs::Tree>();
@@ -179,12 +187,7 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     policies_.push_back(std::make_unique<cpu::CpufreqPolicy>(
         simulator_, model, *registry_, use_vafs ? "ondemand" : config.governor));
     policies_[i]->set_tracer(tracer);
-    if (tracer != nullptr) {
-      sim::Simulator* sim = &simulator_;
-      model.add_freq_listener([sim, tracer, i](std::uint32_t old_khz, std::uint32_t new_khz) {
-        tracer->record(sim->now(), obs::EventKind::kFreqChange, old_khz, new_khz, i);
-      });
-    }
+    if (tracer != nullptr) trace_freq_changes(model, i);
     binders_.push_back(std::make_unique<cpu::CpufreqSysfs>(tree, *policies_[i],
                                                            static_cast<int>(i)));
   }
@@ -403,7 +406,7 @@ SessionResult SessionInstance::finish() {
     // Close the stream: flush the last constant-frequency power segment
     // (never flushed by the listener — no further transition occurs), end
     // any open watchdog fallback span, then end the session span.
-    power_probe_->flush();
+    if (power_probe_ != nullptr) power_probe_->flush();
     if (vafs_controller_ != nullptr && vafs_controller_->in_fallback()) {
       tracer->record(simulator_.now(), obs::EventKind::kFallbackEnd);
     }

@@ -6,11 +6,13 @@
 // integer parsing.
 #pragma once
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace vafs::fleet {
@@ -75,13 +77,13 @@ inline bool hex_decode(std::string_view hex, std::string* out) {
   return true;
 }
 
+/// Strict decimal u64: digits only (no sign, space or prefix). A value
+/// above 2^64 - 1 is refused, never wrapped. `*out` is written only on
+/// success.
 inline bool parse_u64(std::string_view s, std::uint64_t* out) {
-  if (s.empty()) return false;
   std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
   *out = v;
   return true;
 }

@@ -204,7 +204,7 @@ void Downloader::pump() {
     // Rate was constant over [last_pump_, now]: pump events are armed at
     // every bandwidth change point and at every receiver-set change.
     const double rate = bandwidth_.current_mbps(last_pump_);
-    if (tracer_ != nullptr) {
+    if (tracer_ != nullptr && tracer_->keeps_timeline()) {
       // Passive capture: the rate was read for byte accounting anyway, so
       // sampling it here perturbs nothing.
       tracer_->timeline().push(obs::SeriesId::kBandwidthMbps, last_pump_, rate);

@@ -13,8 +13,11 @@
 // counts, ids, enum codes — doubles are quantized by the call site before
 // recording), so the digest is bit-identical across compilers, optimization
 // levels and --jobs widths. The digest streams, so ring-buffer eviction
-// never changes it; a Tracer with ring_capacity = 0 is a pure digest sink
-// that allocates nothing (the mode the experiment runner uses per task).
+// never changes it. A Tracer with ring_capacity = 0 is a digest-only sink
+// (the mode the experiment runner uses per task): it keeps the digest, the
+// event count and the checkpoint list, but no events and no timeline —
+// timelines exist iff a ring does, so instrumented components skip their
+// series pushes (and the probes feeding them) entirely.
 //
 // Instrumented components hold a null-initialized `Tracer*` and guard
 // every record with a pointer test — a detached session pays one untaken
@@ -164,8 +167,8 @@ class Tracer {
  public:
   struct Config {
     /// Events retained for export/diffing; older events are evicted (the
-    /// digest is unaffected). 0 = digest-only mode: no event storage at
-    /// all — the allocation-free default for grid runs.
+    /// digest is unaffected). 0 = digest-only mode: no event storage and
+    /// no timeline — the mode grid runs use.
     std::size_t ring_capacity = 1 << 16;
   };
 
@@ -210,8 +213,14 @@ class Tracer {
   /// stream index of event(i) is recorded() - size() + i.
   const TraceEvent& event(std::size_t i) const;
 
+  /// True iff this tracer keeps timeline series: a timeline exists iff a
+  /// ring does. Instrumented components test this before sampling, so a
+  /// digest-only tracer costs only the digest fold per event.
+  bool keeps_timeline() const { return capacity_ != 0; }
+
   /// Timeline series (frequency / buffer / bandwidth / power) attached to
-  /// this tracer; instrumented components push samples here.
+  /// this tracer; instrumented components push samples here when
+  /// keeps_timeline(). Every series stays empty on a digest-only tracer.
   Timeline& timeline() { return timeline_; }
   const Timeline& timeline() const { return timeline_; }
 

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "simcore/inline_fn.h"
@@ -163,6 +165,9 @@ class EventQueue {
   }
 
   /// Heap ops on the 4-ary implicit heap (children of i: 4i+1 .. 4i+4).
+  /// The ones on the per-event path (pop_next -> fire -> rearm) are
+  /// defined inline below, so the run loop compiles as one unit and calls
+  /// nothing out of line but the callback; compact() is rare and stays out.
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -178,6 +183,9 @@ class EventQueue {
   /// outnumber live ones.
   void compact();
 
+  /// Below this heap size, compaction is not worth the pass.
+  static constexpr std::size_t kCompactMinHeap = 64;
+
   Arena* arena_ = nullptr;
   std::vector<Slot> slots_;
   std::vector<HeapEntry> heap_;
@@ -185,5 +193,83 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::size_t stale_ = 0;
 };
+
+inline void EventQueue::push_entry(const HeapEntry& e) {
+  if (stale_ > (heap_.size() >> 1) && heap_.size() >= kCompactMinHeap) compact();
+  heap_.push_back(e);
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!before(heap_[i], heap_[parent])) break;
+    std::swap(heap_[i], heap_[parent]);
+    i = parent;
+  }
+}
+
+inline void EventQueue::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first_child = (i << 2) + 1;
+    if (first_child >= n) return;
+    std::size_t best = first_child;
+    const std::size_t last_child = first_child + 4 <= n ? first_child + 4 : n;
+    for (std::size_t c = first_child + 1; c < last_child; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], heap_[i])) return;
+    std::swap(heap_[i], heap_[best]);
+    i = best;
+  }
+}
+
+inline void EventQueue::pop_root() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+}
+
+inline void EventQueue::settle_head() {
+  while (!heap_.empty() && is_stale(heap_.front())) {
+    pop_root();
+    --stale_;
+  }
+}
+
+inline void EventQueue::take_root(Popped* out) {
+  const HeapEntry e = heap_.front();
+  pop_root();
+
+  Slot& s = slots_[e.slot];
+  s.in_heap = false;
+  out->time = e.time;
+  out->slot = e.slot;
+  out->gen = e.gen;
+  out->periodic = !s.period.is_zero();
+  out->fn = std::move(s.fn);
+  if (!out->periodic) {
+    // One-shot: the slot dies with the firing, so outstanding handles
+    // report !pending() while the callback runs.
+    ++s.gen;
+    free_.push_back(e.slot);
+  }
+}
+
+inline bool EventQueue::pop_next(SimTime deadline, Popped* out) {
+  settle_head();
+  if (heap_.empty() || heap_.front().time > deadline) return false;
+  take_root(out);
+  return true;
+}
+
+inline void EventQueue::rearm(Popped&& popped) {
+  if (!popped.periodic) return;
+  if (!slot_matches(popped.slot, popped.gen)) return;  // series cancelled mid-fire
+  Slot& s = slots_[popped.slot];
+  if (s.in_heap) ++stale_;  // callback rescheduled its own series entry
+  s.fn = std::move(popped.fn);
+  s.seq = next_seq_++;
+  s.in_heap = true;
+  push_entry(HeapEntry{popped.time + s.period, s.seq, popped.slot, s.gen});
+}
 
 }  // namespace vafs::sim

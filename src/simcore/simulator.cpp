@@ -25,13 +25,6 @@ bool Simulator::reschedule(EventHandle& handle, SimTime when) {
   return queue_.reschedule(handle, when);
 }
 
-void Simulator::fire(EventQueue::Popped&& ev) {
-  now_ = ev.time;
-  ev.fn();
-  queue_.rearm(std::move(ev));  // keeps periodic series alive; no-op otherwise
-  ++events_executed_;
-}
-
 std::uint64_t Simulator::run(std::uint64_t limit) {
   std::uint64_t fired = 0;
   EventQueue::Popped ev;
@@ -53,13 +46,6 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   }
   if (now_ < deadline) now_ = deadline;
   return fired;
-}
-
-bool Simulator::step() {
-  EventQueue::Popped ev;
-  if (!queue_.pop_next(SimTime::max(), &ev)) return false;
-  fire(std::move(ev));
-  return true;
 }
 
 }  // namespace vafs::sim

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "simcore/event_queue.h"
 #include "simcore/time.h"
@@ -49,7 +50,14 @@ class Simulator {
   std::uint64_t run_until(SimTime deadline);
 
   /// Fires exactly one event if any is pending. Returns whether one fired.
-  bool step();
+  /// Inline with fire() and the queue's pop/re-arm path: this is the
+  /// session run loop's per-event call.
+  bool step() {
+    EventQueue::Popped ev;
+    if (!queue_.pop_next(SimTime::max(), &ev)) return false;
+    fire(std::move(ev));
+    return true;
+  }
 
   /// True if no runnable events remain.
   bool idle() { return queue_.empty(); }
@@ -63,7 +71,12 @@ class Simulator {
   std::uint64_t events_executed() const { return events_executed_; }
 
  private:
-  void fire(EventQueue::Popped&& ev);
+  void fire(EventQueue::Popped&& ev) {
+    now_ = ev.time;
+    ev.fn();
+    queue_.rearm(std::move(ev));  // keeps periodic series alive; no-op otherwise
+    ++events_executed_;
+  }
 
   SimTime now_ = SimTime::zero();
   EventQueue queue_;

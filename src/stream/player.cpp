@@ -56,7 +56,7 @@ void Player::set_state(PlayerState next) {
 }
 
 void Player::trace_buffer_level() {
-  if (tracer_ == nullptr) return;
+  if (tracer_ == nullptr || !tracer_->keeps_timeline()) return;
   tracer_->timeline().push(obs::SeriesId::kBufferSeconds, sim_.now(),
                            buffer_.level().as_seconds_f());
 }

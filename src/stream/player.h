@@ -200,7 +200,7 @@ class Player {
   std::uint64_t total_frames_ = 0;
 
   /// Pushes the current buffer level onto the tracer's timeline (no-op
-  /// when detached).
+  /// when detached or when the tracer keeps no timeline).
   void trace_buffer_level();
 
   obs::Tracer* tracer_ = nullptr;

@@ -31,6 +31,7 @@
 #include "fleet/io.h"
 #include "fleet/shard_plan.h"
 #include "fleet/spool.h"
+#include "fleet/textio.h"
 #include "obs/trace.h"
 #include "simcore/rng.h"
 
@@ -506,6 +507,27 @@ void expect_state_bits(const CheckpointState& a, const CheckpointState& b) {
     EXPECT_EQ(a.quarantined[i].last_trace_events, b.quarantined[i].last_trace_events);
     EXPECT_EQ(a.quarantined[i].last_trace_digest, b.quarantined[i].last_trace_digest);
   }
+}
+
+// The manifest, the supervisor wire and tune-state.ckpt all read integers
+// through parse_u64: 2^64 - 1 is the last accepted value, and anything
+// larger is refused rather than wrapped.
+TEST(TextIo, ParseU64RefusesOverflowInsteadOfWrapping) {
+  std::uint64_t v = 0;
+  ASSERT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+
+  v = 7;
+  for (const char* bad : {"18446744073709551616", "99999999999999999999",
+                          "184467440737095516150", "1000000000000000000000000000000000000000"}) {
+    EXPECT_FALSE(parse_u64(bad, &v)) << bad;
+  }
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3"}) {
+    EXPECT_FALSE(parse_u64(bad, &v)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(v, 7u);  // a refused value leaves the output untouched
 }
 
 TEST(Checkpoint, RoundTripIsBitExactForAdversarialDoubles) {

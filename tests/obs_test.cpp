@@ -295,6 +295,16 @@ TEST(TraceDigest, DigestOnlyModeMatchesFullRing) {
   EXPECT_EQ(full.checkpoints(), digest_only.checkpoints());
   EXPECT_EQ(digest_only.size(), 0u);  // nothing stored
   EXPECT_EQ(full.dropped(), 0u);
+
+  // A timeline exists iff a ring does: every series of the digest-only
+  // tracer stays empty, while the full-ring tracer fills all four.
+  for (std::size_t k = 0; k < obs::kSeriesCount; ++k) {
+    const auto id = static_cast<obs::SeriesId>(k);
+    SCOPED_TRACE(obs::series_name(id));
+    EXPECT_TRUE(digest_only.timeline().at(id).samples().empty());
+    EXPECT_EQ(digest_only.timeline().at(id).hist().total(), 0u);
+    EXPECT_FALSE(full.timeline().at(id).samples().empty());
+  }
 }
 
 TEST(DigestHex, RoundTrips) {

@@ -223,11 +223,17 @@ TEST(ServeBackpressure, OverCapConnectionsGetOneErrorFrameAndAClose) {
 
 class VafsdProcess {
  public:
-  explicit VafsdProcess(std::string socket_path) : socket_path_(std::move(socket_path)) {
+  /// Starts `vafsd --socket socket_path extra_args...`.
+  explicit VafsdProcess(std::string socket_path, std::vector<std::string> extra_args = {})
+      : socket_path_(std::move(socket_path)) {
+    std::vector<std::string> args = {"vafsd", "--socket", socket_path_};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
     pid_ = fork();
     if (pid_ == 0) {
-      execl(VAFS_VAFSD_PATH, "vafsd", "--socket", socket_path_.c_str(),
-            static_cast<char*>(nullptr));
+      execv(VAFS_VAFSD_PATH, argv.data());
       _exit(127);
     }
   }
@@ -361,6 +367,20 @@ TEST(VafsdLifecycle, BadUsageExitsTwo) {
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+
+  // --max-connections must parse whole to an integer >= 1. Accepting one
+  // of these would start a daemon that announces readiness and then
+  // refuses every client (0) or serves without a limit (a wrapped or
+  // saturated value).
+  for (const char* value : {"abc", "0", "-1", "99999999999999999999"}) {
+    SCOPED_TRACE(value);
+    VafsdProcess daemon(unique_socket_path("maxconn"), {"--max-connections", value});
+    ASSERT_GT(daemon.pid(), 0);
+    const int bad_status = daemon.wait_exit();
+    ASSERT_NE(bad_status, -1) << "vafsd accepted the value and kept running";
+    ASSERT_TRUE(WIFEXITED(bad_status));
+    EXPECT_EQ(WEXITSTATUS(bad_status), 2);
+  }
 }
 
 }  // namespace

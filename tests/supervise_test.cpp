@@ -677,6 +677,10 @@ TEST(Wire, CommandAndHeartbeatRoundTrip) {
   EXPECT_FALSE(parse_result("R 1 1", &r));
   EXPECT_FALSE(parse_task("T 1", &task, &attempt));
   EXPECT_FALSE(parse_task("T 1 99999999", &task, &attempt));
+  // A task index past 2^64 - 1 is refused, not wrapped onto task 0.
+  EXPECT_FALSE(parse_task("T 18446744073709551616 0", &task, &attempt));
+  ASSERT_TRUE(parse_task("T 18446744073709551615 0", &task, &attempt));
+  EXPECT_EQ(task, std::numeric_limits<std::uint64_t>::max());
   EXPECT_FALSE(parse_heartbeat("H x 0 0000000000000000", &hb_out));
 }
 
