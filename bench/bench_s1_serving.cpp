@@ -1,18 +1,22 @@
-// S1: decision-serving latency and throughput under fleet load.
+// S1: decision-serving latency and throughput under fleet-scale load.
 //
-// The fleet runner is the load generator: `--jobs` workers each advance a
-// lockstep batch of sessions (one open decision stream per live session),
-// so the daemon multiplexes jobs x batch concurrent streams — >= 1000 by
-// default — over one Unix-socket connection per worker thread. Every
-// decision round trip is timed client-side (RTT through the wire protocol)
-// and, when the server runs in-process, server-side (DecisionCore::decide
-// alone), both on lock-free log-linear histograms.
+// `--jobs` client threads each keep ceil(1024 / jobs) sessions live at
+// once, so the daemon multiplexes >= 1024 concurrent decision streams over
+// one Unix-socket connection per thread. A thread takes the next wave of
+// that many consecutive tasks in canonical order (scenario-major,
+// seed-fastest), brings up one core::SessionInstance per task and steps
+// the live instances round-robin until all have retired; each live vafs
+// session holds one open decision stream. Every decision round trip is
+// timed client-side (RTT through the wire protocol) and, when the server
+// runs in-process, server-side (DecisionCore::decide alone), both on
+// lock-free log-linear histograms.
 //
-// The headline proof rides along: the same grid is re-run with in-process
-// decisions and the two digest chains must match bit-for-bit — a daemon
-// answering thousands of interleaved streams is indistinguishable, event
-// stream for event stream, from the inline planner. The bench exits 1 on
-// a mismatch, so every CI run of it is a determinism check at scale.
+// The headline proof rides along: the same grid is re-run through
+// fleet::run_fleet with in-process decisions and the two digest chains
+// must match bit-for-bit — a daemon answering thousands of interleaved
+// streams is indistinguishable, event stream for event stream, from the
+// inline planner. The bench exits 1 on a mismatch, so every CI run of it
+// is a determinism check at scale.
 //
 //   bench_s1_serving --quick             # smoke: short sessions, 1 wave
 //   bench_s1_serving --serve /run/vafsd.sock   # drive an external daemon
@@ -21,21 +25,28 @@
 // bench/baselines/serving_baseline.json.
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/session_instance.h"
 #include "exp/grid.h"
 #include "exp/json.h"
 #include "exp/options.h"
 #include "exp/table.h"
 #include "fleet/fleet_runner.h"
 #include "obs/export.h"
+#include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/stats.h"
@@ -81,6 +92,69 @@ class TimingBackend final : public core::DecisionBackend {
   serve::LatencyHistogram* hist_;
 };
 
+/// One task's served outcome: its trace digest, or the error that ended it.
+struct ServedTask {
+  std::uint64_t digest = 0;
+  std::string error;
+};
+
+/// A session of a wave. Pinned: the instance borrows config and tracer.
+struct LiveSession {
+  core::SessionConfig config;
+  obs::Tracer tracer{obs::Tracer::Config{0}};
+  std::unique_ptr<core::SessionInstance> instance;
+};
+
+/// Runs tasks [lo, hi) of the canonical order as one wave on the calling
+/// thread: every session is brought up first, then the live ones step
+/// round-robin, one event each per turn, until all have retired. Sessions
+/// share nothing, so the interleaving cannot change any result.
+void run_wave(const std::vector<exp::ScenarioSpec>& scenarios,
+              const std::vector<std::uint64_t>& seeds, std::size_t lo, std::size_t hi,
+              core::DecisionBackend* backend, std::vector<ServedTask>& out) {
+  const std::size_t nseeds = seeds.size();
+  std::deque<LiveSession> wave;
+  std::vector<std::size_t> live;  // wave indices still stepping
+  const auto fail = [&](std::size_t i, const char* what) {
+    const std::size_t t = lo + i;
+    out[t].error = "scenario '" + scenarios[t / nseeds].id + "' seed " +
+                   std::to_string(seeds[t % nseeds]) + ": " + what;
+    wave[i].instance.reset();
+  };
+  for (std::size_t t = lo; t < hi; ++t) {
+    LiveSession& session = wave.emplace_back();
+    session.config = scenarios[t / nseeds].config;
+    session.config.seed = seeds[t % nseeds];
+    core::SessionHooks hooks;
+    hooks.tracer = &session.tracer;
+    hooks.decision_backend = backend;
+    try {
+      session.instance = std::make_unique<core::SessionInstance>(session.config, hooks, nullptr);
+      live.push_back(t - lo);
+    } catch (const std::exception& e) {
+      fail(t - lo, e.what());
+    }
+  }
+  while (!live.empty()) {
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const std::size_t i = live[k];
+      core::SessionInstance& instance = *wave[i].instance;
+      try {
+        if (instance.step_one()) {
+          live[kept++] = i;
+          continue;
+        }
+        out[lo + i].digest = instance.finish().trace_digest;
+        wave[i].instance.reset();  // closes its decision stream
+      } catch (const std::exception& e) {
+        fail(i, e.what());
+      }
+    }
+    live.resize(kept);
+  }
+}
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -91,8 +165,9 @@ std::string serving_usage() {
          "                     on a private socket; otherwise the socket path of a\n"
          "                     running vafsd (server-side latency is then reported\n"
          "                     by the daemon, not here)\n"
-         "  --seed-count N     sessions per scenario (default: jobs x batch, i.e.\n"
-         "                     two full-concurrency waves across the 2 scenarios)\n";
+         "  --seed-count N     sessions per scenario (default: the concurrent stream\n"
+         "                     count, i.e. two full-concurrency waves across the 2\n"
+         "                     scenarios)\n";
 }
 
 }  // namespace
@@ -113,13 +188,12 @@ int main(int argc, char** argv) {
   }
 
   const int jobs = options.effective_jobs();
-  // Concurrency comes from lockstep batch width x workers: the default
-  // targets >= 1024 concurrent streams regardless of core count (a single
-  // worker still multiplexes 1024 live sessions over one connection).
-  const int batch =
-      options.batch > 1 ? options.batch : static_cast<int>((1024 + jobs - 1) / jobs);
-  const std::uint64_t streams =
-      static_cast<std::uint64_t>(jobs) * static_cast<std::uint64_t>(batch);
+  // Each client thread keeps this many sessions live, so the daemon sees
+  // >= 1024 concurrent streams regardless of core count (a single thread
+  // still multiplexes 1024 live sessions over one connection).
+  const std::size_t per_worker = (1024 + static_cast<std::size_t>(jobs) - 1) /
+                                 static_cast<std::size_t>(jobs);
+  const std::uint64_t streams = static_cast<std::uint64_t>(jobs) * per_worker;
 
   core::SessionConfig base;
   base.fixed_rep = 2;  // 720p
@@ -135,21 +209,14 @@ int main(int argc, char** argv) {
                     {"poor", [](core::SessionConfig& c) { c.net = core::NetProfile::kPoor; }}});
   const std::vector<exp::ScenarioSpec> scenarios = grid.scenarios();
 
-  // Default load: scenarios x (jobs x batch) seeds = two full-concurrency
-  // waves; --quick halves that to one wave.
+  // Default load: scenarios x streams seeds = two full-concurrency waves;
+  // --quick halves that to one wave.
   if (options.seed_count == 0) {
     options.seed_count = options.quick ? (streams + 1) / 2 : streams;
   }
-  fleet::FleetOptions fopts;
-  fopts.jobs = jobs;
-  fopts.batch = batch;
-  // One shard per pack: every worker wave is a full batch of live streams.
-  fopts.shard_size = static_cast<std::size_t>(batch);
-  fopts.seeds = options.fleet_seeds();
-  fopts.trace = options.trace_flag != 0;  // default on: the digest chain IS the proof
-
-  const std::uint64_t tasks =
-      static_cast<std::uint64_t>(scenarios.size()) * fopts.seeds.size();
+  const std::vector<std::uint64_t> seeds = options.fleet_seeds();
+  const std::size_t tasks = scenarios.size() * seeds.size();
+  const bool tracing = options.trace_flag != 0;  // default on: the digest chain IS the proof
 
   // ---- The daemon under test.
   std::unique_ptr<serve::Server> server;
@@ -180,26 +247,43 @@ int main(int argc, char** argv) {
 
   serve::LatencyHistogram rtt;
   TimingBackend timing(&socket_backend, &rtt);
-  fopts.decision_backend = &timing;
 
-  std::printf("s1: %zu scenarios x %zu seeds = %llu sessions, %d jobs x %d-stream batches "
-              "= %llu concurrent streams, daemon %s\n",
-              scenarios.size(), fopts.seeds.size(), static_cast<unsigned long long>(tasks),
-              jobs, batch, static_cast<unsigned long long>(streams),
-              server ? "in-process" : socket.c_str());
+  std::printf("s1: %zu scenarios x %zu seeds = %zu sessions, %d client threads x %zu live "
+              "sessions = %llu concurrent streams, daemon %s\n",
+              scenarios.size(), seeds.size(), tasks, jobs, per_worker,
+              static_cast<unsigned long long>(streams), server ? "in-process" : socket.c_str());
 
-  // ---- Serving leg.
+  // ---- Serving leg: each client thread takes the next wave of per_worker
+  // consecutive tasks until none remain.
+  std::vector<ServedTask> served(tasks);
   const auto t0 = std::chrono::steady_clock::now();
-  const fleet::FleetResult served = run_fleet(scenarios, fopts);
-  const double serve_s = seconds_since(t0);
-  if (!served.ok()) {
-    std::fprintf(stderr, "bench_s1_serving: %s\n", served.error.c_str());
-    return 1;
+  {
+    std::atomic<std::size_t> next{0};
+    const auto client = [&] {
+      for (;;) {
+        const std::size_t lo = next.fetch_add(per_worker, std::memory_order_relaxed);
+        if (lo >= tasks) return;
+        run_wave(scenarios, seeds, lo, std::min(tasks, lo + per_worker), &timing, served);
+      }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(jobs));
+    for (int w = 0; w < jobs; ++w) pool.emplace_back(client);
+    for (auto& th : pool) th.join();
   }
-  if (!served.failures.empty()) {
-    std::fprintf(stderr, "bench_s1_serving: %zu sessions failed under the daemon "
-                 "(first: %s)\n",
-                 served.failures.size(), served.failures.front().message.c_str());
+  const double serve_s = seconds_since(t0);
+  std::uint64_t served_chain = 0;
+  std::size_t served_failures = 0;
+  for (const ServedTask& task : served) {
+    if (!task.error.empty() && served_failures++ == 0) {
+      std::fprintf(stderr, "bench_s1_serving: first failure under the daemon: %s\n",
+                   task.error.c_str());
+    }
+    served_chain = obs::chain_digest(served_chain, task.digest);
+  }
+  if (served_failures > 0) {
+    std::fprintf(stderr, "bench_s1_serving: %zu sessions failed under the daemon\n",
+                 served_failures);
     return 1;
   }
 
@@ -209,8 +293,12 @@ int main(int argc, char** argv) {
     sstats = server->stats();
   }
 
-  // ---- In-process reference leg: same grid, inline decisions.
-  fopts.decision_backend = nullptr;
+  // ---- In-process reference leg: same grid, inline decisions, through the
+  // fleet runner.
+  fleet::FleetOptions fopts;
+  fopts.jobs = jobs;
+  fopts.seeds = seeds;
+  fopts.trace = tracing;
   const auto t1 = std::chrono::steady_clock::now();
   const fleet::FleetResult inproc = run_fleet(scenarios, fopts);
   const double inproc_s = seconds_since(t1);
@@ -222,8 +310,7 @@ int main(int argc, char** argv) {
   const std::uint64_t decisions = rtt.count();
   const double decisions_per_sec =
       serve_s > 0 ? static_cast<double>(decisions) / serve_s : 0.0;
-  const double sessions_per_sec =
-      serve_s > 0 ? static_cast<double>(served.sessions_run) / serve_s : 0.0;
+  const double sessions_per_sec = serve_s > 0 ? static_cast<double>(tasks) / serve_s : 0.0;
 
   std::printf("%-26s %12s %12s\n", "", "daemon", "in-process");
   exp::print_rule(54);
@@ -231,7 +318,7 @@ int main(int argc, char** argv) {
   std::printf("%-26s %12.0f %12.0f\n", "sessions/sec", sessions_per_sec,
               inproc_s > 0 ? static_cast<double>(inproc.sessions_run) / inproc_s : 0.0);
   std::printf("%-26s %12s %12s\n", "digest chain",
-              obs::digest_hex(served.digest_chain).c_str(),
+              obs::digest_hex(served_chain).c_str(),
               obs::digest_hex(inproc.digest_chain).c_str());
   std::printf("serve: %llu decisions (%.0f/s), RTT p50/p95/p99 %.0f/%.0f/%.0f us "
               "(mean %.1f)\n",
@@ -246,10 +333,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sstats.streams_opened));
   }
 
-  const bool tracing = fopts.trace;
   bool digests_match = true;
   if (tracing) {
-    digests_match = served.digest_chain == inproc.digest_chain;
+    digests_match = served_chain == inproc.digest_chain;
     std::printf("differential: digest chains %s\n",
                 digests_match ? "identical (daemon == in-process, bitwise)" : "DIFFER");
   }
@@ -261,9 +347,8 @@ int main(int argc, char** argv) {
     root.set("bench", "s1_serving");
     root.set("sessions", static_cast<std::uint64_t>(tasks));
     root.set("jobs", jobs);
-    root.set("batch", batch);
     root.set("daemon", server ? "in-process" : socket);
-    root.set("digest_chain_served", obs::digest_hex(served.digest_chain));
+    root.set("digest_chain_served", obs::digest_hex(served_chain));
     root.set("digest_chain_inproc", obs::digest_hex(inproc.digest_chain));
     root.set("digests_match", digests_match);
     exp::Json extra = exp::Json::object();

@@ -8,12 +8,16 @@
 //
 // Prints a human summary, or a single CSV row with --csv (header with
 // --csv-header) for scripting sweeps.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "core/session.h"
+#include "fleet/textio.h"
 #include "trace/bandwidth_file.h"
 
 namespace {
@@ -54,6 +58,43 @@ const char* next_arg(int argc, char** argv, int* i, const char* flag) {
   return argv[++*i];
 }
 
+[[noreturn]] void bad_value(const char* argv0, const char* flag, const char* text,
+                            const char* wanted) {
+  usage(argv0, (std::string(flag) + " wants " + wanted + ", got '" + text + "'").c_str());
+}
+
+/// `text` parsed in full as a decimal integer; usage error otherwise.
+std::uint64_t parse_uint(const char* argv0, const char* flag, const char* text) {
+  std::uint64_t value = 0;
+  if (!fleet::parse_u64(text, &value)) bad_value(argv0, flag, text, "a non-negative integer");
+  return value;
+}
+
+/// `text` parsed in full as a finite number for which `ok` holds; usage
+/// error otherwise.
+template <typename Ok>
+double parse_number(const char* argv0, const char* flag, const char* text, const char* wanted,
+                    Ok ok) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || !ok(value)) {
+    bad_value(argv0, flag, text, wanted);
+  }
+  return value;
+}
+
+/// A media or segment length: at least one tick of the simulator's
+/// microsecond clock (a zero-length segment divides by zero) and no longer
+/// than the session's simulation cap (longer media can never finish).
+sim::SimTime parse_duration(const char* argv0, const char* flag, const char* text,
+                            sim::SimTime cap) {
+  const double max_s = cap.as_seconds_f();
+  char wanted[64];
+  std::snprintf(wanted, sizeof wanted, "seconds in [1e-06, %g]", max_s);
+  return sim::SimTime::seconds_f(parse_number(
+      argv0, flag, text, wanted, [max_s](double v) { return v >= 1e-6 && v <= max_s; }));
+}
+
 void print_csv_header() {
   std::printf("governor,rep,abr,net,radio,duration_s,segment_s,seed,live,big_little,thermal,"
               "cpuidle,cpu_mj,radio_mj,display_mj,total_mj,startup_s,rebuffer_events,"
@@ -75,17 +116,27 @@ int main(int argc, char** argv) {
     else if (is("--csv-header")) { print_csv_header(); return 0; }
     else if (is("--csv")) csv = true;
     else if (is("--governor")) config.governor = next_arg(argc, argv, &i, arg);
-    else if (is("--rep")) config.fixed_rep = std::strtoul(next_arg(argc, argv, &i, arg), nullptr, 10);
-    else if (is("--seed")) config.seed = std::strtoull(next_arg(argc, argv, &i, arg), nullptr, 10);
-    else if (is("--duration")) {
-      config.media_duration = sim::SimTime::seconds_f(std::strtod(next_arg(argc, argv, &i, arg), nullptr));
+    else if (is("--rep")) {
+      const char* text = next_arg(argc, argv, &i, arg);
+      const std::uint64_t rep = parse_uint(argv[0], arg, text);
+      if (rep > 3) bad_value(argv[0], arg, text, "a quality rung 0-3");
+      config.fixed_rep = static_cast<std::size_t>(rep);
+    } else if (is("--seed")) {
+      config.seed = parse_uint(argv[0], arg, next_arg(argc, argv, &i, arg));
+    } else if (is("--duration")) {
+      config.media_duration =
+          parse_duration(argv[0], arg, next_arg(argc, argv, &i, arg), config.sim_cap);
     } else if (is("--segment")) {
-      config.segment_duration = sim::SimTime::seconds_f(std::strtod(next_arg(argc, argv, &i, arg), nullptr));
+      config.segment_duration =
+          parse_duration(argv[0], arg, next_arg(argc, argv, &i, arg), config.sim_cap);
     } else if (is("--mbps")) {
       config.net = core::NetProfile::kConstant;
-      config.constant_mbps = std::strtod(next_arg(argc, argv, &i, arg), nullptr);
+      config.constant_mbps = parse_number(argv[0], arg, next_arg(argc, argv, &i, arg),
+                                          "a finite number > 0", [](double v) { return v > 0; });
     } else if (is("--margin")) {
-      config.vafs.safety_margin = std::strtod(next_arg(argc, argv, &i, arg), nullptr);
+      config.vafs.safety_margin = parse_number(argv[0], arg, next_arg(argc, argv, &i, arg),
+                                               "a finite number >= 0",
+                                               [](double v) { return v >= 0; });
     } else if (is("--net")) {
       const std::string v = next_arg(argc, argv, &i, arg);
       if (v == "poor") config.net = core::NetProfile::kPoor;
@@ -131,9 +182,13 @@ int main(int argc, char** argv) {
       usage(argv[0], (std::string("unknown option ") + arg).c_str());
     }
   }
-  if (config.fixed_rep > 3) usage(argv[0], "--rep must be 0-3");
-
-  const auto r = core::run_session(config);
+  core::SessionResult r;
+  try {
+    r = core::run_session(config);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   if (csv) {
     std::printf("%s,%zu,%s,%s,%s,%.1f,%.1f,%llu,%d,%d,%d,%s,%.2f,%.2f,%.2f,%.2f,%.3f,%llu,"

@@ -62,7 +62,6 @@ net::MarkovBandwidth::Params net_profile_params(NetProfile p) {
 }
 
 video::ContentStore& SessionArena::content_store(const ContentKey& key) {
-  if (content_donor != nullptr) return content_donor->content_store(key);
   for (auto it = content_.begin(); it != content_.end(); ++it) {
     if (it->key == key) {
       content_.splice(content_.end(), content_, it);  // most-recent last

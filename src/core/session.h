@@ -94,20 +94,16 @@ struct SessionConfig {
   // Device. A named profile (device::profile("flagship"), ...) is the
   // authoritative device description: cluster topology AND the
   // device-level fields (display, radio, thermal params, cpuidle). The
-  // default-constructed profile (legacy(), no clusters) keeps the scalar
-  // fields below authoritative — byte-identical to the pre-profile
-  // bring-up, so every existing knob still works.
+  // default-constructed profile (legacy(), no clusters) runs on
+  // device::profile("default")'s big cluster and display, with `radio`,
+  // `thermal`, `cpuidle` and `big_little` below taken from this config —
+  // byte-identical to the pre-profile bring-up.
   device::DeviceProfile profile;
   // Weighted device population: when non-empty it overrides `profile`
   // with a per-seed draw (a pure hash of `seed`, so fleet shard
   // boundaries, job counts and resume points cannot move a session onto
   // a different device).
   device::PopulationMix population;
-
-  // Legacy scalar device fields (used when profile.legacy()).
-  cpu::PowerModelParams power;
-  double display_mw = 450.0;
-  sim::SimTime cpu_transition_latency = sim::SimTime::micros(150);
 
   // Thermal (off by default; experiment F10 enables it).
   bool thermal_enabled = false;
@@ -192,8 +188,8 @@ struct SessionResult {
   std::uint64_t decode_frames_little = 0;
   std::uint64_t decode_migrations = 0;
 
-  /// Resolved device profile name ("" when the legacy scalar fields built
-  /// the device) — fleet/population sweeps report per-class splits by it.
+  /// Resolved device profile name ("" for a profile-less config's legacy
+  /// bring-up) — fleet/population sweeps report per-class splits by it.
   std::string device;
 
   /// Per-cluster report, in cluster (policy) order. Single-cluster legacy
@@ -259,15 +255,6 @@ struct SessionHooks {
 /// One arena per thread; never shared.
 struct SessionArena {
   sim::EventQueue::Arena events;
-
-  /// When set, content_store() delegates to this arena instead of the
-  /// local cache. Batch lanes use it to pool synthesized content across a
-  /// worker's lanes (an EventQueue::Arena serves exactly one live queue,
-  /// so lanes need separate *event* arenas — but content is read-only
-  /// per-session and a pure function of its key, so one worker-wide store
-  /// is both safe and the same dedup a serial worker's single arena gets).
-  /// Same-thread only; never point it at another worker's arena.
-  SessionArena* content_donor = nullptr;
 
   /// Everything frame values are a pure function of. Durations are in
   /// micros; the manifest itself is derived from them inside run_session,

@@ -76,9 +76,10 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
   obs::Tracer* tracer = tracer_;
 
   // Resolve the device. A population draw (pure hash of the seed) wins,
-  // then an explicit named profile; a legacy() profile means the scalar
-  // SessionConfig device fields are authoritative, and the cluster list
-  // below reproduces the pre-profile device from them byte-for-byte.
+  // then an explicit named profile; a legacy() profile runs on the
+  // "default" profile's big cluster and display but keeps the config's
+  // radio, thermal, cpuidle and big_little fields, which reproduces the
+  // pre-profile device byte-for-byte.
   const device::DeviceProfile* prof = nullptr;
   if (!config.population.empty()) {
     prof = &config.population.pick(config.seed);
@@ -86,7 +87,7 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     prof = &config.profile;
   }
 
-  double display_mw = config.display_mw;
+  double display_mw = 0.0;
   net::RadioParams radio_params = config.radio;
   thermal::ThermalParams thermal_params = config.thermal;
   cpu::CpuidleStrategy cpuidle_strategy = config.cpuidle;
@@ -103,13 +104,14 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     cpuidle_strategy = prof->cpuidle;
     cpuidle_params = prof->cpuidle_params;
   } else {
-    specs_.push_back(device::ClusterSpec{"big", cpu::OppTable::mobile_big_core(), config.power,
-                                         1.0, config.cpu_transition_latency});
+    const device::DeviceProfile& base = device::profile("default");
+    specs_.push_back(base.clusters.front());
+    display_mw = base.display_mw;
     if (config.big_little) {
       specs_.push_back(device::ClusterSpec{"little", cpu::OppTable::mobile_little_core(),
                                            cpu::PowerModelParams::little_core(),
                                            config.little_cycle_penalty,
-                                           config.cpu_transition_latency});
+                                           sim::SimTime::micros(150)});
     }
   }
 
@@ -392,13 +394,6 @@ bool SessionInstance::step_one() {
   }
   return simulator_.step();
 }
-
-sim::SimTime SessionInstance::next_event_time() {
-  if (done_ || simulator_.now() >= config_->sim_cap) return sim::SimTime::max();
-  return simulator_.next_event_time();
-}
-
-bool SessionInstance::retired() { return next_event_time() == sim::SimTime::max(); }
 
 SessionResult SessionInstance::finish() {
   obs::Tracer* tracer = tracer_;

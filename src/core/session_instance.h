@@ -1,12 +1,11 @@
 // A fully-built, steppable streaming session: the device bring-up, run
 // loop and result extraction of core::run_session, split into construct /
-// step / finish so a driver other than the classic "run one session to
-// completion" loop can own the clock. run_session() is a thin wrapper
-// (construct, step until retired, finish); SessionBatch advances N
-// instances in lockstep off a shared wheel. Both drivers execute the
-// identical per-session event sequence — the construction order, the
-// queue-operation order and the loop semantics in here are the single
-// source of truth, which is what makes batch == serial bitwise.
+// step / finish so a caller can own the clock. run_session() is a thin
+// wrapper (construct, step until retired, finish); perfbench times the
+// three phases separately, and bench_s1_serving steps many instances
+// round-robin on one thread to hold that many decision streams open.
+// Instances share nothing, so any interleaving of their steps yields the
+// same per-session results as run_session.
 #pragma once
 
 #include <chrono>
@@ -46,14 +45,6 @@ class SessionInstance {
   /// session is still live. Returns false once the session is retired —
   /// the player finished, the clock reached sim_cap, or the queue drained.
   bool step_one();
-
-  /// Absolute time of the next pending event, or SimTime::max() when the
-  /// session is retired (the wheel key in batch mode). May lazily drop
-  /// cancelled events to answer.
-  sim::SimTime next_event_time();
-
-  /// True once step_one() has nothing left to do.
-  bool retired();
 
   /// Closes the trace stream and extracts the SessionResult — the exact
   /// tail of run_session. Call once, after the run loop; the instance is

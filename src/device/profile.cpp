@@ -19,9 +19,10 @@ ClusterSpec make_cluster(std::string name, std::vector<cpu::Opp> opps,
   return ClusterSpec{std::move(name), cpu::OppTable(std::move(opps)), power, penalty, latency};
 }
 
-/// The current hardwired device, materialized: one big core, stock power
-/// model, 150 µs transitions — sessions on this profile are bit-identical
-/// to the legacy (profile-less) bring-up at default SessionConfig scalars.
+/// The reference device: one big core, stock power model, 150 µs
+/// transitions. The legacy (profile-less) bring-up takes its big cluster
+/// and display from here, so sessions on this profile are bit-identical
+/// to it at default SessionConfig radio/thermal/cpuidle values.
 DeviceProfile make_default() {
   DeviceProfile p;
   p.name = "default";

@@ -59,16 +59,16 @@ struct ClusterSpec {
 struct DeviceProfile {
   /// Registry key ("default", "flagship", ...). A default-constructed
   /// profile has no clusters and means "the legacy SessionConfig device":
-  /// run_session then builds the device from the pre-profile scalar fields
-  /// (power, cpu_transition_latency, big_little, ...), byte-identical to
-  /// the pre-refactor bring-up.
+  /// run_session then takes the "default" profile's big cluster and
+  /// display, and the SessionConfig's radio, thermal, cpuidle and
+  /// big_little fields, byte-identical to the pre-refactor bring-up.
   std::string name = "default";
   /// Descending capacity; clusters[0] is primary (policy0). Empty = legacy.
   std::vector<ClusterSpec> clusters;
 
   // Device-level session defaults. For named profiles these are
-  // authoritative in run_session; the legacy/default path keeps reading
-  // the SessionConfig scalars so every pre-profile knob still works.
+  // authoritative in run_session; the legacy path reads display_mw from
+  // the "default" profile and the rest from the SessionConfig.
   double display_mw = 450.0;
   net::RadioParams radio = net::RadioParams::lte();
   thermal::ThermalParams thermal;

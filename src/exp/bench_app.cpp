@@ -35,7 +35,6 @@ const ResultSet& BenchApp::run(const ExperimentGrid& grid, std::string section,
   RunOptions run_options;
   run_options.jobs = jobs();
   run_options.seeds = seeds_;
-  run_options.batch = options_.batch;
   run_options.hooks = std::move(hooks);
   run_options.trace = tracing();
   // The first grid's (scenario 0, seed 0) session is the representative one

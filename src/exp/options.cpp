@@ -99,14 +99,6 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
         return false;
       }
       options->jobs = static_cast<int>(jobs);
-    } else if (arg == "--batch") {
-      if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      std::uint64_t batch = 0;
-      if (!parse_u64(value, &batch) || batch == 0 || batch > 65536) {
-        *error = "--batch wants an integer in [1, 65536], got '" + value + "'";
-        return false;
-      }
-      options->batch = static_cast<int>(batch);
     } else if (arg == "--seeds") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       if (!parse_seed_list(value, &options->seeds)) {
@@ -271,15 +263,13 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
 
 std::string bench_usage(const std::string& bench_id) {
   return "usage: bench_" + bench_id +
-         " [--jobs N] [--batch N] [--seeds a,b,c] [--quick]"
+         " [--jobs N] [--seeds a,b,c] [--quick]"
          " [--out-json PATH|none] [--out-csv PATH|none]"
          " [--trace|--no-trace] [--trace-out PATH|none]\n"
          "  --jobs N       worker threads for the session grid (default: all cores)\n"
          "  --seeds LIST   comma-separated session seeds (default: 101,202,303)\n"
          "  --seed N       single-seed shorthand for --seeds N (the tuner's search\n"
          "                 seed in bench_f15)\n"
-         "  --batch N      sessions per lockstep batch per worker (default: 1 = serial;\n"
-         "                 results are bitwise identical at every batch size)\n"
          "  --quick        first seed only, shortened sessions (smoke mode)\n"
          "  --out-json P   machine-readable results (default: BENCH_" +
          bench_id + ".json; 'none' disables)\n"

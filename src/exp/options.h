@@ -5,7 +5,6 @@
 //   --quick         first seed only + shortened sessions (smoke mode)
 //   --out-json P    JSON artifact path ("none" disables; default BENCH_<id>.json)
 //   --out-csv P     CSV artifact path ("none" disables; default BENCH_<id>.csv)
-//   --batch N       sessions per lockstep batch per worker (default 1 = serial)
 //   --trace / --no-trace   force per-run trace digests on/off (default: per bench)
 //   --trace-out P   Chrome trace JSON of one captured session ("none" disables)
 //   --help          usage
@@ -25,9 +24,6 @@ struct BenchOptions {
   std::string out_csv;
   /// -1 = bench default, 0 = forced off (--no-trace), 1 = forced on (--trace).
   int trace_flag = -1;
-  /// Sessions advanced in lockstep per worker (core::SessionBatch);
-  /// 1 = the classic serial path. Bitwise identical at every size.
-  int batch = 1;
   /// Chrome trace output path for the captured session; empty = default
   /// (BENCH_<id>.trace.json), "none" = no capture.
   std::string trace_out = "none";

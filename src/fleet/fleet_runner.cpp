@@ -171,10 +171,6 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
   ShardQueue queue(frontier, shard_count, workers);
   const auto worker_body = [&](std::size_t w) {
     core::SessionArena arena;
-    // Batch mode: per-lane arenas (an EventQueue::Arena serves one live
-    // queue at a time), persisted across shards for allocation-free reuse.
-    std::deque<core::SessionArena> lane_arenas;
-    const std::size_t batch = opts.batch > 1 ? static_cast<std::size_t>(opts.batch) : 1;
     for (;;) {
       {
         // Backpressure gates *starting* work, never depositing it: the
@@ -189,36 +185,13 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
       const Shard shard = plan.shard(sid);
       std::vector<exp::TaskOutcome> outcomes;
       outcomes.reserve(shard.task_count);
-      if (batch > 1) {
-        // Pack the shard's tasks — still in canonical order — into
-        // lockstep sub-batches; the last pack is ragged when batch does
-        // not divide the shard. Outcomes land in the same order the
-        // serial loop below would produce them.
-        for (std::size_t lo = 0; lo < shard.task_count; lo += batch) {
-          const std::size_t hi = std::min(shard.task_count, lo + batch);
-          std::vector<exp::BatchTask> pack;
-          pack.reserve(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const TaskRef ref = plan.task(shard.first_task + i);
-            core::SessionHooks hooks;
-            hooks.decision_backend = opts.decision_backend;
-            pack.push_back(exp::BatchTask{&scenarios[ref.scenario],
-                                          opts.seeds[ref.seed_index], std::move(hooks)});
-          }
-          for (auto& o :
-               exp::run_task_batch(pack, opts.trace, lane_arenas, opts.task_timeout_ms)) {
-            outcomes.push_back(std::move(o));
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < shard.task_count; ++i) {
-          const TaskRef ref = plan.task(shard.first_task + i);
-          core::SessionHooks hooks;
-          hooks.decision_backend = opts.decision_backend;
-          outcomes.push_back(exp::run_one_task(scenarios[ref.scenario],
-                                               opts.seeds[ref.seed_index], std::move(hooks),
-                                               opts.trace, &arena, opts.task_timeout_ms));
-        }
+      for (std::size_t i = 0; i < shard.task_count; ++i) {
+        const TaskRef ref = plan.task(shard.first_task + i);
+        core::SessionHooks hooks;
+        hooks.decision_backend = opts.decision_backend;
+        outcomes.push_back(exp::run_one_task(scenarios[ref.scenario], opts.seeds[ref.seed_index],
+                                             std::move(hooks), opts.trace, &arena,
+                                             opts.task_timeout_ms));
       }
       {
         std::lock_guard<std::mutex> lock(mu);

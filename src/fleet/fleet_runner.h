@@ -42,11 +42,6 @@ struct FleetOptions {
   std::vector<std::uint64_t> seeds = {101, 202, 303};
   /// Sessions per shard (the checkpoint/fold granularity).
   std::size_t shard_size = 64;
-  /// Sessions advanced in lockstep per worker (core::SessionBatch),
-  /// packed within each shard; 1 = the classic serial path. The digest
-  /// chain, checkpoint/resume bytes and fold order are identical at every
-  /// batch size.
-  int batch = 1;
 
   /// Directory for the checkpoint manifest; empty disables checkpointing.
   /// Created if missing.

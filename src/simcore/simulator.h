@@ -62,11 +62,6 @@ class Simulator {
   /// True if no runnable events remain.
   bool idle() { return queue_.empty(); }
 
-  /// Absolute time of the earliest runnable event, or SimTime::max() when
-  /// none remain. May lazily drop cancelled entries to answer; does not
-  /// advance the clock or fire anything.
-  SimTime next_event_time() { return queue_.empty() ? SimTime::max() : queue_.next_time(); }
-
   /// Total events executed over the simulator's lifetime.
   std::uint64_t events_executed() const { return events_executed_; }
 

@@ -11,7 +11,7 @@
 // Determinism contract: every candidate list is generated single-threaded
 // as a pure function of (search seed, prior round scores); parallelism
 // lives only inside fleet evaluation rounds, which are bit-identical at
-// any --jobs/--shards/--batch; and all comparisons go through the
+// any --jobs/--shards; and all comparisons go through the
 // canonical total order below. Same seed ⇒ byte-identical artifacts at
 // any job count (DESIGN.md §12).
 //
@@ -123,7 +123,6 @@ struct TunerOptions {
 
   // Execution (must not affect results, only wall-clock).
   int jobs = 1;
-  int batch = 1;
   std::size_t shard_size = 16;
 
   /// Directory for the tuner state file + per-round fleet manifests;

@@ -6,16 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/session_instance.h"
 #include "exp/aggregate.h"
 #include "exp/grid.h"
 #include "exp/json.h"
 #include "exp/options.h"
 #include "exp/runner.h"
 #include "exp/sinks.h"
+#include "fault/plan.h"
+#include "obs/trace.h"
 
 namespace vafs::exp {
 namespace {
@@ -68,6 +74,50 @@ TEST(SessionDeterminism, SameConfigAndSeedIsBitIdentical) {
     const core::SessionResult second = core::run_session(config);
     ASSERT_TRUE(first.finished);
     expect_identical(first, second);
+  }
+}
+
+TEST(SessionDeterminism, InterleavedInstancesMatchRunSession) {
+  // Stepping several SessionInstances alternately on one thread, as
+  // bench_s1_serving does to hold many decision streams open, must give
+  // each session exactly its run_session result: sessions share nothing.
+  std::vector<core::SessionConfig> configs(3, small_config());
+  configs[1].governor = "vafs";
+  configs[2].fault = fault::FaultPlanConfig::mild();
+
+  std::vector<core::SessionResult> alone;
+  for (const core::SessionConfig& config : configs) {
+    obs::Tracer tracer{obs::Tracer::Config{0}};
+    core::SessionHooks hooks;
+    hooks.tracer = &tracer;
+    alone.push_back(core::run_session(config, hooks));
+  }
+  ASSERT_GT(alone[1].vafs_plans, 0u);
+  ASSERT_GT(alone[2].fault_windows, 0u);
+
+  std::deque<obs::Tracer> tracers;  // pinned: each instance keeps a pointer
+  std::vector<std::unique_ptr<core::SessionInstance>> instances;
+  for (const core::SessionConfig& config : configs) {
+    core::SessionHooks hooks;
+    hooks.tracer = &tracers.emplace_back(obs::Tracer::Config{0});
+    instances.push_back(std::make_unique<core::SessionInstance>(config, hooks, nullptr));
+  }
+  std::vector<bool> live(instances.size(), true);
+  for (std::size_t left = instances.size(); left > 0;) {
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      if (live[i] && !instances[i]->step_one()) {
+        live[i] = false;
+        --left;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    SCOPED_TRACE("session " + std::to_string(i));
+    const core::SessionResult interleaved = instances[i]->finish();
+    expect_identical(alone[i], interleaved);
+    EXPECT_EQ(alone[i].sim_events, interleaved.sim_events);
+    EXPECT_EQ(alone[i].trace_digest, interleaved.trace_digest);
+    EXPECT_EQ(alone[i].trace_events, interleaved.trace_events);
   }
 }
 
@@ -667,25 +717,6 @@ TEST(Runner, GenerousTaskTimeoutIsBitwiseInvisible) {
       // The deadline probe must not touch the event stream.
       EXPECT_EQ(a.all()[s].runs[r].trace_digest, b.all()[s].runs[r].trace_digest);
     }
-  }
-}
-
-TEST(Runner, TaskTimeoutAppliesOnTheBatchPathToo) {
-  core::SessionConfig config = small_config();
-  config.media_duration = sim::SimTime::seconds(600);
-  ExperimentGrid grid(config);
-  grid.governors({"ondemand"});
-
-  RunOptions opts;
-  opts.jobs = 1;
-  opts.seeds = {101, 202, 303};
-  opts.batch = 3;
-  opts.task_timeout_ms = 1;
-  const ResultSet rs = run_grid(grid.scenarios(), opts);
-  ASSERT_EQ(rs.all().size(), 1u);
-  EXPECT_FALSE(rs.all()[0].failures.empty());
-  for (const RunFailure& f : rs.all()[0].failures) {
-    EXPECT_NE(f.message.find("wall-clock task timeout"), std::string::npos) << f.message;
   }
 }
 

@@ -2,7 +2,7 @@
 // correctness claims:
 //
 //  1. Determinism: the search trajectory and artifacts are a pure
-//     function of the seed — bit-identical at any --jobs/--batch, and a
+//     function of the seed — bit-identical at any --jobs, and a
 //     killed-and-resumed search reproduces the uninterrupted artifacts
 //     byte for byte.
 //  2. Correctness of the search itself: on a space small enough to
@@ -457,19 +457,14 @@ SearchSetup sampled_search() {
   return s;
 }
 
-TEST(TunerDeterminism, JobCountAndBatchInvariant) {
+TEST(TunerDeterminism, JobCountInvariant) {
   const SearchSetup s = sampled_search();
 
   std::string reference;
   std::uint64_t reference_digest = 0;
-  struct Exec {
-    int jobs;
-    int batch;
-  };
-  for (const Exec exec : {Exec{1, 1}, Exec{4, 1}, Exec{16, 1}, Exec{16, 3}}) {
+  for (const int jobs : {1, 4, 16}) {
     TunerOptions opts = s.opts;
-    opts.jobs = exec.jobs;
-    opts.batch = exec.batch;
+    opts.jobs = jobs;
     const TuneReport report = run_tuner(s.space, s.contexts, opts);
     ASSERT_TRUE(report.complete()) << report.error;
     const std::string json = tuned_configs_json(s.space, s.contexts, opts, report).dump();
@@ -480,8 +475,7 @@ TEST(TunerDeterminism, JobCountAndBatchInvariant) {
       EXPECT_GT(report.rounds, 0u);
       EXPECT_EQ(report.rounds_replayed, 0u);
     } else {
-      EXPECT_EQ(json + "\n" + csv, reference)
-          << "jobs=" << exec.jobs << " batch=" << exec.batch;
+      EXPECT_EQ(json + "\n" + csv, reference) << "jobs=" << jobs;
       EXPECT_EQ(report.trajectory_digest, reference_digest);
     }
   }
