@@ -1,10 +1,12 @@
 #include "exp/runner.h"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -65,6 +67,91 @@ TaskOutcome run_one_task(const ScenarioSpec& spec, std::uint64_t seed,
   return out;
 }
 
+void execute_tasks(std::size_t first, std::size_t count, std::size_t chunk_size, int jobs,
+                   std::size_t max_pending, const TaskRunner& run, const ChunkFold& fold) {
+  if (first >= count) return;
+  chunk_size = std::max<std::size_t>(chunk_size, 1);
+  const std::size_t chunks = (count - first + chunk_size - 1) / chunk_size;
+
+  std::mutex mu;
+  std::condition_variable space_cv;  // workers: room to start a chunk
+  std::condition_variable fold_cv;   // folder: a chunk arrived, or a worker threw
+  std::map<std::size_t, std::vector<TaskOutcome>> finished;  // reorder buffer
+  std::size_t next_chunk = 0;
+  bool stop = false;
+  std::exception_ptr failure;  // escaped a worker; rethrown on the calling thread
+
+  // Chunks are handed out in order, so the one the fold waits for is
+  // always running or next in line, whatever the buffer holds.
+  const auto worker = [&] {
+    try {
+      core::SessionArena arena;
+      for (;;) {
+        std::size_t c = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          space_cv.wait(
+              lock, [&] { return stop || max_pending == 0 || finished.size() < max_pending; });
+          if (stop || next_chunk == chunks) return;
+          c = next_chunk++;
+        }
+        const std::size_t begin = first + c * chunk_size;
+        const std::size_t end = std::min(begin + chunk_size, count);
+        std::vector<TaskOutcome> outcomes;
+        outcomes.reserve(end - begin);
+        for (std::size_t t = begin; t < end; ++t) outcomes.push_back(run(t, arena));
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (stop) return;
+          finished.emplace(c, std::move(outcomes));
+        }
+        fold_cv.notify_one();
+      }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!failure) failure = std::current_exception();
+      }
+      fold_cv.notify_one();
+    }
+  };
+
+  std::vector<std::thread> pool;
+  const auto shutdown = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    space_cv.notify_all();
+    for (auto& th : pool) th.join();
+  };
+  try {
+    const std::size_t width =
+        std::min<std::size_t>(static_cast<std::size_t>(std::max(jobs, 1)), chunks);
+    pool.reserve(width);
+    for (std::size_t w = 0; w < width; ++w) pool.emplace_back(worker);
+
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::vector<TaskOutcome> outcomes;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        fold_cv.wait(lock, [&] { return failure || finished.count(c) > 0; });
+        if (failure) std::rethrow_exception(failure);
+        const auto it = finished.find(c);
+        outcomes = std::move(it->second);
+        finished.erase(it);
+      }
+      space_cv.notify_all();
+      if (!fold(first + c * chunk_size, outcomes)) break;
+    }
+  } catch (...) {
+    shutdown();
+    throw;
+  }
+  shutdown();
+  if (failure) std::rethrow_exception(failure);
+}
+
 ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions& opts) {
   std::vector<ScenarioResult> results(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -80,77 +167,38 @@ ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions&
   const std::size_t nseeds = opts.seeds.size();
   const std::size_t ntasks = scenarios.size() * nseeds;
   std::vector<core::SessionHooks> hooks(ntasks);
-  if (opts.hooks) {
-    for (std::size_t t = 0; t < ntasks; ++t) {
-      hooks[t] = opts.hooks(scenarios[t / nseeds], t / nseeds, t % nseeds);
-    }
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    if (opts.hooks) hooks[t] = opts.hooks(scenarios[t / nseeds], t / nseeds, t % nseeds);
+    if (hooks[t].decision_backend == nullptr) hooks[t].decision_backend = opts.decision_backend;
   }
-  if (opts.decision_backend != nullptr) {
-    for (auto& h : hooks) {
-      if (h.decision_backend == nullptr) h.decision_backend = opts.decision_backend;
-    }
-  }
+  // The capture task gets the bench's full-ring tracer; every other task
+  // gets run_one_task's digest-only tracer when opts.trace. Hooks that
+  // supplied their own tracer win either way.
+  if (ntasks > 0 && hooks[0].tracer == nullptr) hooks[0].tracer = opts.capture;
 
-  // One arena per worker: sessions on the same thread reuse the event
-  // slab/heap capacity, so only the first session of each worker allocates.
-  // A task that throws records its message into a preallocated slot (no
-  // shared mutable state, no lock) instead of killing the grid; slots are
-  // folded into per-scenario failure lists in (scenario, seed) order below,
-  // so the failure report is as deterministic as the results.
-  std::vector<std::string> errors(ntasks);
-  const auto run_task = [&](std::size_t t, core::SessionArena& arena) {
-    const std::size_t s = t / nseeds;
-    const std::size_t i = t % nseeds;
-    core::SessionHooks task_hooks = hooks[t];
-    // The designated capture task gets the bench's full-ring tracer; every
-    // other task gets run_one_task's digest-only tracer when opts.trace.
-    // Hooks that supplied their own tracer win either way.
-    if (task_hooks.tracer == nullptr && opts.capture != nullptr && s == opts.capture_scenario &&
-        i == opts.capture_seed) {
-      task_hooks.tracer = opts.capture;
-    }
-    TaskOutcome out = run_one_task(scenarios[s], opts.seeds[i], std::move(task_hooks), opts.trace,
-                                   &arena, opts.task_timeout_ms);
-    results[s].runs[i] = std::move(out.result);
-    errors[t] = std::move(out.error);
-  };
-
-  const int jobs = opts.jobs;
-  if (jobs <= 1 || ntasks <= 1) {
-    core::SessionArena arena;
-    for (std::size_t t = 0; t < ntasks; ++t) run_task(t, arena);
-  } else {
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      core::SessionArena arena;
-      for (;;) {
-        const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= ntasks) return;
-        run_task(t, arena);
-      }
-    };
-    std::vector<std::thread> pool;
-    const std::size_t width = std::min<std::size_t>(static_cast<std::size_t>(jobs), ntasks);
-    pool.reserve(width);
-    for (std::size_t w = 0; w < width; ++w) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
-
-  // Serial aggregation in (scenario, seed) order: identical regardless of
-  // the completion order above. Failed runs are skipped (their slots are
-  // default-constructed) and clear all_finished.
-  for (std::size_t s = 0; s < results.size(); ++s) {
-    auto& sr = results[s];
-    for (std::size_t i = 0; i < nseeds; ++i) {
-      std::string& err = errors[s * nseeds + i];
-      if (err.empty()) {
-        sr.agg.add(sr.runs[i]);
-      } else {
-        sr.failures.push_back(RunFailure{i, opts.seeds[i], std::move(err)});
-        sr.agg.all_finished = false;
-      }
-    }
-  }
+  // One-task chunks with no backpressure: every result is kept anyway. A
+  // task that threw lands in its scenario's failure list instead of
+  // killing the grid; the fold runs in (scenario, seed) order, so the
+  // aggregates and the failure report are as deterministic as the runs.
+  execute_tasks(
+      0, ntasks, 1, opts.jobs, 0,
+      [&](std::size_t t, core::SessionArena& arena) {
+        return run_one_task(scenarios[t / nseeds], opts.seeds[t % nseeds], std::move(hooks[t]),
+                            opts.trace, &arena);
+      },
+      [&](std::size_t t, std::vector<TaskOutcome>& outcomes) {
+        ScenarioResult& sr = results[t / nseeds];
+        const std::size_t i = t % nseeds;
+        TaskOutcome& out = outcomes.front();
+        if (out.ok()) {
+          sr.agg.add(out.result);
+        } else {
+          sr.failures.push_back(RunFailure{i, opts.seeds[i], std::move(out.error)});
+          sr.agg.all_finished = false;
+        }
+        sr.runs[i] = std::move(out.result);
+        return true;
+      });
   return ResultSet(std::move(results));
 }
 

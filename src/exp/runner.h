@@ -1,9 +1,10 @@
 // Parallel experiment execution. Each (scenario, seed) pair is one task: a
 // full core::run_session call, which owns its Simulator / Rng / sysfs tree
-// and shares nothing, so tasks run concurrently on a fixed-size thread
-// pool. Results land in preallocated slots and are aggregated serially in
-// (scenario, seed) order afterwards, so a parallel run is bit-identical to
-// a serial one regardless of completion order.
+// and shares nothing, so tasks run concurrently. One executor
+// (execute_tasks) runs every in-process grid — run_grid here and
+// fleet::run_fleet — and hands outcomes to its caller's fold strictly in
+// (scenario, seed) order, so a parallel run is bit-identical to a serial
+// one regardless of completion order.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,8 @@
 namespace vafs::exp {
 
 struct RunOptions {
-  /// Worker threads; <= 1 runs inline on the calling thread.
+  /// Worker threads; <= 1 still uses one worker thread (the calling
+  /// thread folds).
   int jobs = 1;
   /// One session per scenario per seed, aggregated in this order.
   std::vector<std::uint64_t> seeds = {101, 202, 303};
@@ -40,19 +42,11 @@ struct RunOptions {
   /// trace_digest / trace_events in the artifacts.
   bool trace = false;
 
-  /// Optional full-ring tracer (not owned) attached to the single task
-  /// (capture_scenario, capture_seed) — the cheap way for a bench to get
-  /// one exportable trace out of a grid without buffering every session.
-  /// Ignored for tasks whose hooks already provide a tracer.
+  /// Optional full-ring tracer (not owned) attached to task (0, 0) — the
+  /// cheap way for a bench to get one exportable trace out of a grid
+  /// without buffering every session. Ignored when that task's hooks
+  /// already provide a tracer.
   obs::Tracer* capture = nullptr;
-  std::size_t capture_scenario = 0;
-  std::size_t capture_seed = 0;
-
-  /// Per-task wall-clock deadline, 0 = unlimited (SessionConfig::
-  /// task_timeout_ms). A deadline-exceeded task becomes a captured
-  /// failure — "wall-clock task timeout: ... exceeded" — in the scenario's
-  /// failure list and the JSON/CSV artifacts, like any other task error.
-  std::int64_t task_timeout_ms = 0;
 
   /// Optional decision backend (not owned, thread-safe, must outlive the
   /// run) handed to every task whose hooks did not bring their own:
@@ -130,6 +124,20 @@ struct TaskOutcome {
 TaskOutcome run_one_task(const ScenarioSpec& spec, std::uint64_t seed,
                          core::SessionHooks hooks, bool trace, core::SessionArena* arena,
                          std::int64_t task_timeout_ms = 0);
+
+/// The one in-process executor. Runs tasks [first, count) of a grid's
+/// canonical order in chunks of `chunk_size` consecutive tasks on up to
+/// `jobs` threads, each with its own SessionArena; `run` executes one task
+/// on a worker thread. `fold` receives each chunk's first task and
+/// outcomes on the calling thread, strictly in task order, and returns
+/// false to stop the run (chunks not yet folded are discarded). With
+/// `max_pending` > 0, workers stall before *starting* a chunk while that
+/// many finished chunks wait to be folded — handing one over is never
+/// gated, so the chunk the fold waits for always arrives.
+using TaskRunner = std::function<TaskOutcome(std::size_t task, core::SessionArena& arena)>;
+using ChunkFold = std::function<bool(std::size_t first_task, std::vector<TaskOutcome>& outcomes)>;
+void execute_tasks(std::size_t first, std::size_t count, std::size_t chunk_size, int jobs,
+                   std::size_t max_pending, const TaskRunner& run, const ChunkFold& fold);
 
 /// Runs scenarios × seeds on a pool of `opts.jobs` threads.
 ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions& opts);

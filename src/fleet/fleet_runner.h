@@ -1,21 +1,19 @@
 // Fleet-scale sharded session runner.
 //
 // run_fleet executes a scenario × seed grid of any size at bounded memory:
-// the grid is cut into deterministic shards (shard_plan.h), shards run on
-// a work-stealing pool, and a folding loop on the calling thread folds
-// each completed shard into per-scenario Aggregates *strictly in shard-id
-// order* (a reorder buffer holds early finishers). Because the fold order
-// is the canonical (scenario, seed) order and Aggregate::add is applied
-// per session, the final aggregates are bit-identical to a serial
-// exp::run_grid over the same grid — any job count, any interleaving.
+// the grid is cut into deterministic shards (shard_plan.h), shards run as
+// chunks of exp::execute_tasks — the executor run_grid uses too — and the
+// calling thread folds each shard into a Ledger (ledger.h) *strictly in
+// shard-id order*. Because the fold order is the canonical (scenario,
+// seed) order and every session folds through Aggregate::add_values, the
+// final aggregates are bit-identical to a serial exp::run_grid over the
+// same grid — any job count, any interleaving.
 //
-// Memory never holds more than (max_pending_shards + jobs) shards of
+// Memory never holds more than (2 * jobs + 2) + jobs shards of
 // SessionResults: workers stall before *starting* a new shard while the
-// reorder buffer is full (deposits are never gated, so the fold frontier
-// always makes progress — no deadlock). O(shards outstanding), never
-// O(sessions).
+// reorder buffer is full. O(shards outstanding), never O(sessions).
 //
-// Kill/resume: with a checkpoint directory set, the folder writes a
+// Kill/resume: with a checkpoint directory set, the ledger writes a
 // manifest (checkpoint.h) every checkpoint_every_shards folds and on
 // clean stops. A resumed run restores the aggregates, digest chain,
 // failure list and spool offset bit-exactly and re-runs only the shards
@@ -64,10 +62,6 @@ struct FleetOptions {
   /// Optional per-session row spool. With an empty path and a checkpoint
   /// directory set, the spool lands next to the manifest.
   SpoolOptions spool;
-
-  /// Completed-but-unfolded shards the reorder buffer may hold before
-  /// workers stall; 0 = 2 * jobs + 2.
-  std::size_t max_pending_shards = 0;
 
   /// Fires on the folding thread after every folded shard. Return false
   /// to stop cleanly: a final checkpoint is written and the run returns

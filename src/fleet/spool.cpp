@@ -49,7 +49,7 @@ std::size_t metric_index(const std::string& name) {
 
 Spool::~Spool() {
   std::string error;
-  close(&error);  // best effort; run_fleet close()s explicitly to see errors
+  close(&error);  // best effort; the ledger close()s explicitly to see errors
 }
 
 bool Spool::open(const SpoolOptions& options, std::uint64_t resume_offset, std::string* error) {
@@ -106,14 +106,6 @@ void Spool::append_row(std::string row) {
     std::string error;
     if (!flush(&error)) write_failed_ = true;
   }
-}
-
-void Spool::append(const exp::ScenarioSpec& spec, std::uint64_t seed,
-                   const core::SessionResult& result) {
-  if (!enabled()) return;
-  double values[exp::kMetricCount];
-  exp::Aggregate::session_values(result, values);
-  append_values(spec, seed, values, result.trace_digest);
 }
 
 void Spool::append_values(const exp::ScenarioSpec& spec, std::uint64_t seed,

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/session.h"
 #include "exp/grid.h"
 
 namespace vafs::fleet {
@@ -56,13 +55,9 @@ class Spool {
 
   bool enabled() const { return file_ != nullptr; }
 
-  /// Appends one session's rows (buffered; deterministic content).
-  void append(const exp::ScenarioSpec& spec, std::uint64_t seed,
-              const core::SessionResult& result);
-  /// Same rows from a pre-extracted exp::kMetricCount value vector plus
-  /// the session's trace digest (the supervisor wire format) —
-  /// byte-identical to append() for the same session, since both draw
-  /// from Aggregate::session_values and the same digest.
+  /// Appends one session's rows (buffered; deterministic content) from
+  /// its exp::kMetricCount value vector (Aggregate::session_values, also
+  /// the supervisor wire format) and its trace digest.
   void append_values(const exp::ScenarioSpec& spec, std::uint64_t seed, const double* values,
                      std::uint64_t digest);
   /// Appends a failure marker row for a task that threw.

@@ -260,8 +260,13 @@ void Downloader::pump() {
         min_remaining = j.bytes_remaining;
       }
     }
-    const auto done_us = static_cast<std::int64_t>(std::ceil(min_remaining / per_job_rate));
-    next = std::min(next, now + sim::SimTime::micros(std::max<std::int64_t>(1, done_us)));
+    // Compare in double against the horizon and convert only a completion
+    // that comes first: at a tiny rate the completion lies past 2^63 µs,
+    // where the integer cast (and now + done) would overflow.
+    const double done_us = std::max(1.0, std::ceil(min_remaining / per_job_rate));
+    if (done_us < static_cast<double>((next - now).as_micros())) {
+      next = now + sim::SimTime::micros(static_cast<std::int64_t>(done_us));
+    }
   }
   if (next == sim::SimTime::max()) {  // outage with no scheduled recovery
     pump_event_.cancel();

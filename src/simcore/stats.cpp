@@ -1,9 +1,7 @@
 #include "simcore/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace vafs::sim {
 
@@ -60,67 +58,6 @@ OnlineStats OnlineStats::from_state(const State& s) {
   stats.min_ = s.min;
   stats.max_ = s.max;
   return stats;
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (sorted_.size() != samples_.size()) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-  }
-  p = std::clamp(p, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(p * static_cast<double>(sorted_.size() - 1) + 0.5);
-  return sorted_[rank];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x, double weight) {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / bin_width_);
-    i = std::min(i, counts_.size() - 1);
-  }
-  counts_[i] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + bin_width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + bin_width_; }
-
-double Histogram::bin_fraction(std::size_t i) const {
-  return total_ > 0 ? counts_[i] / total_ : 0.0;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  double peak = 0.0;
-  for (double c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak > 0 ? static_cast<std::size_t>(counts_[i] / peak * static_cast<double>(width)) : 0;
-    std::snprintf(line, sizeof(line), "[%10.1f, %10.1f) %6.2f%% |", bin_lo(i), bin_hi(i),
-                  bin_fraction(i) * 100.0);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace vafs::sim

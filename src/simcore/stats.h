@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace vafs::sim {
 
@@ -73,50 +71,6 @@ class StatsBatch {
  private:
   double buf_[N];
   std::size_t n_ = 0;
-};
-
-/// Stores samples for exact quantiles. Suited to the session-scale sample
-/// counts in this library (thousands to low millions).
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); }
-  std::size_t count() const { return samples_.size(); }
-  double mean() const;
-  /// Exact p-quantile (p in [0, 1]) by nearest-rank on a sorted copy
-  /// (lazily cached). Returns 0 when empty.
-  double percentile(double p) const;
-  double min() const { return percentile(0.0); }
-  double max() const { return percentile(1.0); }
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;  // cache, invalidated by add()
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples land in
-/// saturating edge bins. Used for frequency-residency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  double bin_weight(std::size_t i) const { return counts_[i]; }
-  double total_weight() const { return total_; }
-  /// Fraction of total weight in bin i (0 if histogram is empty).
-  double bin_fraction(std::size_t i) const;
-
-  /// Multi-line ASCII rendering for reports.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 }  // namespace vafs::sim

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -19,13 +18,11 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "exp/runner.h"
-#include "fleet/io.h"
-#include "fleet/shard_plan.h"
+#include "fleet/ledger.h"
 #include "obs/export.h"
 #include "supervise/wire.h"
 
@@ -33,8 +30,6 @@ namespace vafs::supervise {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string manifest_path(const std::string& dir) { return dir + "/manifest.ckpt"; }
 
 std::int64_t ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
@@ -365,107 +360,17 @@ const char* worker_fate_name(WorkerFate fate) {
 
 SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
                                 const fleet::FleetOptions& fopts, const SuperviseOptions& sopts) {
-  using fleet::CheckpointFailure;
-  using fleet::CheckpointQuarantine;
-  using fleet::CheckpointState;
-
   SupervisedResult result;
   fleet::FleetResult& fr = result.fleet;
-  fr.scenarios.reserve(scenarios.size());
-  for (const auto& spec : scenarios) fr.scenarios.push_back(fleet::FleetScenario{spec, {}});
-
-  const fleet::ShardPlan plan(scenarios.size(), fopts.seeds.size(), fopts.shard_size);
-  fr.fingerprint = fleet::grid_fingerprint(scenarios, fopts.seeds, plan.shard_size());
-  fr.shard_count = plan.shard_count();
-  const std::uint64_t task_count = plan.task_count();
-
-  const bool checkpointing = !fopts.checkpoint_dir.empty();
-  if (checkpointing) {
-    std::error_code ec;
-    std::filesystem::create_directories(fopts.checkpoint_dir, ec);
-    if (ec) {
-      fr.error =
-          "supervise: cannot create checkpoint dir '" + fopts.checkpoint_dir + "': " + ec.message();
-      return result;
-    }
-  }
-
-  // ---- Resume (same contract as run_fleet, plus the quarantine state).
-  std::uint64_t frontier_shard = 0;
-  std::uint64_t spool_resume_offset = 0;
-  std::uint64_t quarantine_offset = 0;
-  if (fopts.resume && checkpointing &&
-      std::filesystem::exists(manifest_path(fopts.checkpoint_dir))) {
-    CheckpointState cs;
-    std::string error;
-    if (!fleet::read_checkpoint(manifest_path(fopts.checkpoint_dir), &cs, &error)) {
-      fr.error = "supervise: resume failed: " + error;
-      return result;
-    }
-    if (cs.fingerprint != fr.fingerprint) {
-      fr.error =
-          "supervise: resume refused: the manifest was written for a different grid, seed list "
-          "or shard size (fingerprint mismatch)";
-      return result;
-    }
-    if (cs.aggregates.size() != scenarios.size() || cs.shards_done > fr.shard_count) {
-      fr.error = "supervise: resume refused: manifest shape does not match the grid";
-      return result;
-    }
-    for (std::size_t s = 0; s < scenarios.size(); ++s) fr.scenarios[s].agg = cs.aggregates[s];
-    fr.failures = std::move(cs.failures);
-    fr.quarantined = std::move(cs.quarantined);
-    fr.digest_chain = cs.digest_chain;
-    fr.sessions_resumed = cs.tasks_done;
-    result.quarantined_resumed = fr.quarantined.size();
-    frontier_shard = cs.shards_done;
-    spool_resume_offset = cs.spool_offset;
-    quarantine_offset = cs.quarantine_offset;
-  }
-
-  // ---- Spool (same placement rule as run_fleet).
-  fleet::SpoolOptions spool_opts = fopts.spool;
-  if (spool_opts.format != fleet::SpoolFormat::kNone && spool_opts.path.empty() && checkpointing) {
-    spool_opts.path =
-        fopts.checkpoint_dir +
-        (spool_opts.format == fleet::SpoolFormat::kCsv ? "/spool.csv" : "/spool.jsonl");
-  }
-  fleet::Spool spool;
-  {
-    std::string error;
-    if (!spool.open(spool_opts, spool_resume_offset, &error)) {
-      fr.error = "supervise: " + error;
-      return result;
-    }
-  }
-
-  // ---- Quarantine log.
   std::string quarantine_path = sopts.quarantine_path;
-  if (quarantine_path.empty() && checkpointing) {
+  if (quarantine_path.empty() && !fopts.checkpoint_dir.empty()) {
     quarantine_path = fopts.checkpoint_dir + "/quarantine.jsonl";
   }
-  int qfd = -1;
-  if (!quarantine_path.empty()) {
-    qfd = ::open(quarantine_path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
-    if (qfd < 0) {
-      fr.error = "supervise: cannot open quarantine log '" + quarantine_path + "'";
-      return result;
-    }
-    struct stat st {};
-    if (::fstat(qfd, &st) == 0 && static_cast<std::uint64_t>(st.st_size) < quarantine_offset) {
-      fr.error = "supervise: quarantine log '" + quarantine_path + "' is shorter (" +
-                 std::to_string(st.st_size) + " B) than the checkpointed offset (" +
-                 std::to_string(quarantine_offset) + " B)";
-      ::close(qfd);
-      return result;
-    }
-    if (::ftruncate(qfd, static_cast<off_t>(quarantine_offset)) != 0 ||
-        ::lseek(qfd, static_cast<off_t>(quarantine_offset), SEEK_SET) < 0) {
-      fr.error = "supervise: cannot truncate quarantine log '" + quarantine_path + "'";
-      ::close(qfd);
-      return result;
-    }
-  }
+  fleet::Ledger ledger(scenarios, fopts, &fr, "supervise", quarantine_path);
+  if (!ledger.ok()) return result;
+  result.quarantined_resumed = fr.quarantined.size();
+  const fleet::ShardPlan& plan = ledger.plan();
+  const std::uint64_t task_count = plan.task_count();
 
   // SIGPIPE must not kill the supervisor when a worker dies mid-command.
   struct sigaction ignore_pipe {};
@@ -482,13 +387,8 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
     }
   };
 
-  // ---- Fold state.
-  std::uint64_t fold_next =
-      frontier_shard < fr.shard_count ? plan.shard(frontier_shard).first_task : task_count;
-  std::uint64_t next_task = fold_next;  // next never-dispatched task
-  std::uint64_t tasks_done = fr.sessions_resumed;
-  std::uint64_t cur_shard = frontier_shard;
-  fr.shards_done = frontier_shard;
+  // ---- Dispatch state; the ledger folds.
+  std::uint64_t next_task = ledger.next_task();  // next never-dispatched task
 
   struct Pending {
     enum Kind : std::uint8_t { kOk, kFailed, kQuarantined } kind = kOk;
@@ -505,28 +405,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
   std::vector<Worker> workers(static_cast<std::size_t>(worker_count));
   for (std::size_t i = 0; i < workers.size(); ++i) workers[i].slot = i;
 
-  bool stopped = false;
   bool shutting_down = false;
-
-  const auto write_manifest = [&](std::string* error) {
-    if (!spool.sync(error)) return false;
-    if (qfd >= 0 && !fleet::fsync_fd(qfd, error)) {
-      *error = "quarantine log fsync: " + *error;
-      return false;
-    }
-    CheckpointState cs;
-    cs.fingerprint = fr.fingerprint;
-    cs.shards_done = fr.shards_done;
-    cs.tasks_done = tasks_done;
-    cs.digest_chain = fr.digest_chain;
-    cs.spool_offset = spool.offset();
-    cs.quarantine_offset = quarantine_offset;
-    cs.aggregates.reserve(fr.scenarios.size());
-    for (const auto& fs : fr.scenarios) cs.aggregates.push_back(fs.agg);
-    cs.failures = fr.failures;
-    cs.quarantined = fr.quarantined;
-    return fleet::write_checkpoint(manifest_path(fopts.checkpoint_dir), cs, error);
-  };
 
   WorkerContext ctx;
   ctx.scenarios = &scenarios;
@@ -575,7 +454,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
       ::close(err[0]);
       ::dup2(err[1], 2);
       ::close(err[1]);
-      if (qfd >= 0) ::close(qfd);
+      if (ledger.quarantine_fd() >= 0) ::close(ledger.quarantine_fd());
       if (sopts.worker_as_limit_mb > 0) {
         struct rlimit rl {};
         rl.rlim_cur = rl.rlim_max = static_cast<rlim_t>(sopts.worker_as_limit_mb) << 20;
@@ -629,45 +508,27 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
     }
   };
 
-  // Folds every pending frontier task; returns false on a persistence
-  // error (fr.error set).
+  // Folds every pending frontier task; returns false when the run must
+  // stop (on_progress declined, or a persistence error set fr.error).
   const auto fold_ready = [&]() -> bool {
-    while (fold_next < task_count && !stopped) {
-      const auto it = pending.find(fold_next);
-      if (it == pending.end()) break;
+    for (;;) {
+      const auto it = pending.find(ledger.next_task());
+      if (it == pending.end()) return true;
       Pending p = std::move(it->second);
       pending.erase(it);
-      const fleet::TaskRef ref = plan.task(fold_next);
-      fleet::FleetScenario& fs = fr.scenarios[ref.scenario];
-      const std::uint64_t seed = fopts.seeds[ref.seed_index];
+      bool go = true;
       switch (p.kind) {
         case Pending::kOk:
-          fs.agg.add_values(p.res.values, p.res.finished);
-          spool.append_values(fs.spec, seed, p.res.values, p.res.digest);
-          fr.digest_chain = obs::chain_digest(fr.digest_chain, p.res.digest);
-          ++fr.sessions_run;
+          go = ledger.fold_session(p.res.values, p.res.finished, p.res.digest);
           break;
         case Pending::kFailed:
-          fr.failures.push_back(CheckpointFailure{fold_next, seed, std::move(p.error)});
-          fs.agg.all_finished = false;
-          spool.append_failure(fs.spec, seed);
-          fr.digest_chain = obs::chain_digest(fr.digest_chain, 0);
-          ++fr.sessions_run;
+          go = ledger.fold_failure(std::move(p.error));
           break;
         case Pending::kQuarantined: {
           // Excluded *explicitly* from the chain, aggregates and spool:
           // the digest chain over survivors stays bit-identical to a
           // clean run over the same surviving task set.
-          if (qfd >= 0) {
-            const std::string line = quarantine_json(p.quarantine);
-            std::string error;
-            if (!fleet::write_all(qfd, line.data(), line.size(), &error)) {
-              fr.error = "supervise: quarantine log write: " + error;
-              return false;
-            }
-            quarantine_offset += line.size();
-          }
-          CheckpointQuarantine cq;
+          fleet::CheckpointQuarantine cq;
           cq.task_index = p.quarantine.task_index;
           cq.seed = p.quarantine.seed;
           cq.attempts = static_cast<std::uint64_t>(p.quarantine.attempts);
@@ -678,39 +539,13 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
           cq.stderr_tail = p.quarantine.stderr_tail;
           cq.last_trace_events = p.quarantine.last_trace_events;
           cq.last_trace_digest = p.quarantine.last_trace_digest;
-          fr.quarantined.push_back(std::move(cq));
+          go = ledger.fold_quarantine(std::move(cq), quarantine_json(p.quarantine));
           result.quarantine.push_back(std::move(p.quarantine));
           break;
         }
       }
-      ++fold_next;
-      ++tasks_done;
-
-      const fleet::Shard shard = plan.shard(cur_shard);
-      if (fold_next == shard.first_task + shard.task_count) {
-        ++cur_shard;
-        fr.shards_done = cur_shard;
-        const bool last = fr.shards_done == fr.shard_count;
-        if (checkpointing &&
-            (last || (fr.shards_done % fopts.checkpoint_every_shards) == 0)) {
-          std::string error;
-          if (!write_manifest(&error)) {
-            fr.error = "supervise: " + error;
-            return false;
-          }
-        }
-        if (fopts.on_progress && !fopts.on_progress(fr.shards_done, fr.shard_count)) {
-          stopped = true;
-          fr.stopped = true;
-          if (checkpointing) {
-            std::string error;
-            if (!write_manifest(&error)) fr.error = "supervise: " + error;
-          }
-          return fr.error.empty();
-        }
-      }
+      if (!go) return false;
     }
-    return true;
   };
 
   // Processes one complete res-pipe line from `w`.
@@ -909,7 +744,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
   };
 
   // ---- Bring up the fleet and run the event loop.
-  if (fold_next < task_count) {
+  if (ledger.next_task() < task_count) {
     for (Worker& w : workers) {
       if (!spawn_worker(w)) break;
       dispatch_to(w);
@@ -917,7 +752,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
   }
 
   std::vector<struct pollfd> pfds;
-  while (fr.error.empty() && !stopped && fold_next < task_count) {
+  while (fr.error.empty() && ledger.next_task() < task_count) {
     pfds.clear();
     for (const Worker& w : workers) {
       if (!w.alive) continue;
@@ -943,8 +778,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
       if (!open) handle_death(w);
     }
 
-    if (!fold_ready()) break;
-    if (stopped || fold_next >= task_count) break;
+    if (!fold_ready() || ledger.next_task() >= task_count) break;
 
     // Respawn and keep everyone fed.
     for (Worker& w : workers) {
@@ -1031,17 +865,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  {
-    std::string error;
-    if (!spool.close(&error) && fr.error.empty()) fr.error = "supervise: " + error;
-  }
-  if (qfd >= 0) {
-    std::string error;
-    if (!fleet::fsync_fd(qfd, &error) && fr.error.empty()) {
-      fr.error = "supervise: quarantine log fsync: " + error;
-    }
-    ::close(qfd);
-  }
+  ledger.close();
   ::sigaction(SIGPIPE, &old_pipe, nullptr);
   return result;
 }

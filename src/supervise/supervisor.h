@@ -35,9 +35,9 @@
 // a deterministic function of the configuration, independent of worker
 // count, scheduling and resume points.
 //
-// Checkpointing composes with PR 5: the same v2 manifest (plus the
-// quarantine list and quarantine-log offset), written at the same shard
-// cadence, resumable by a later supervised OR in-process run.
+// The fold, resume, spool, quarantine log and checkpoint manifest all go
+// through the same fleet::Ledger as run_fleet: one manifest writer at one
+// shard cadence, so either runner resumes the other's manifest.
 #pragma once
 
 #include <cstdint>

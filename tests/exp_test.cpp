@@ -673,13 +673,13 @@ TEST(Runner, TinyTaskTimeoutBecomesACapturedFailure) {
   // the grid keeps going, nothing wedges, artifacts record the message.
   core::SessionConfig config = small_config();
   config.media_duration = sim::SimTime::seconds(600);  // plenty of events
+  config.task_timeout_ms = 1;
   ExperimentGrid grid(config);
   grid.governors({"ondemand"});
 
   RunOptions opts;
   opts.jobs = 1;
   opts.seeds = {101, 202};
-  opts.task_timeout_ms = 1;
   const ResultSet rs = run_grid(grid.scenarios(), opts);
   ASSERT_EQ(rs.all().size(), 1u);
   const ScenarioResult& sr = rs.all()[0];
@@ -697,16 +697,17 @@ TEST(Runner, TinyTaskTimeoutBecomesACapturedFailure) {
 TEST(Runner, GenerousTaskTimeoutIsBitwiseInvisible) {
   ExperimentGrid grid(small_config());
   grid.governors({"ondemand", "vafs"});
+  core::SessionConfig timed_config = small_config();
+  timed_config.task_timeout_ms = 60 * 1000;
+  ExperimentGrid timed_grid(timed_config);
+  timed_grid.governors({"ondemand", "vafs"});
 
-  RunOptions plain;
-  plain.jobs = 1;
-  plain.seeds = {101, 202};
-  plain.trace = true;
-  const ResultSet a = run_grid(grid.scenarios(), plain);
-
-  RunOptions timed = plain;
-  timed.task_timeout_ms = 60 * 1000;
-  const ResultSet b = run_grid(grid.scenarios(), timed);
+  RunOptions opts;
+  opts.jobs = 1;
+  opts.seeds = {101, 202};
+  opts.trace = true;
+  const ResultSet a = run_grid(grid.scenarios(), opts);
+  const ResultSet b = run_grid(timed_grid.scenarios(), opts);
 
   ASSERT_EQ(a.all().size(), b.all().size());
   for (std::size_t s = 0; s < a.all().size(); ++s) {

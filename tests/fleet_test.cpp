@@ -2,7 +2,7 @@
 // its one correctness claim: any interleaving, any kill point, same
 // answer. The differential tests pin a sharded run — across job counts,
 // shard sizes and kill/resume cycles — bit-for-bit against a serial
-// exp::run_grid reference (aggregate state bits AND the trace-digest
+// run_one_task reference (aggregate state bits AND the trace-digest
 // chain, so even a single reordered RNG draw anywhere in the stack shows
 // up). The property tests cover the pieces that claim rests on: shard
 // plans partition the task order exactly, checkpoint manifests round-trip
@@ -86,9 +86,11 @@ std::vector<exp::ScenarioSpec> faulted_grid() {
 
 const std::vector<std::uint64_t> kSeeds = {101, 202, 303, 404, 505};
 
-/// Serial ground truth: run_grid at jobs=1 with digest tracers, plus the
-/// digest chain folded in canonical task order (scenario-major, seed
-/// fastest — the same order every shard plan replays).
+/// Serial ground truth: every task run with a digest tracer on this
+/// thread, in canonical task order (scenario-major, seed fastest — the
+/// same order every shard plan replays), folded by Aggregate::add and
+/// chained by hand. It shares no executor and no fold with run_fleet, so
+/// the differential compares two independent paths.
 struct Reference {
   std::vector<exp::Aggregate> aggs;
   std::uint64_t chain = 0;
@@ -96,17 +98,17 @@ struct Reference {
 
 Reference serial_reference(const std::vector<exp::ScenarioSpec>& scenarios,
                            const std::vector<std::uint64_t>& seeds) {
-  exp::RunOptions opts;
-  opts.jobs = 1;
-  opts.seeds = seeds;
-  opts.trace = true;
-  const exp::ResultSet rs = exp::run_grid(scenarios, opts);
   Reference ref;
-  for (const exp::ScenarioResult& sr : rs.all()) {
-    ref.aggs.push_back(sr.agg);
-    for (const core::SessionResult& run : sr.runs) {
-      ref.chain = obs::chain_digest(ref.chain, run.trace_digest);
+  core::SessionArena arena;
+  for (const exp::ScenarioSpec& spec : scenarios) {
+    exp::Aggregate agg;
+    for (const std::uint64_t seed : seeds) {
+      const exp::TaskOutcome out = exp::run_one_task(spec, seed, {}, true, &arena);
+      EXPECT_TRUE(out.ok()) << out.error;
+      agg.add(out.result);
+      ref.chain = obs::chain_digest(ref.chain, out.result.trace_digest);
     }
+    ref.aggs.push_back(agg);
   }
   return ref;
 }
@@ -434,6 +436,31 @@ TEST(FleetResume, RefusesACorruptManifest) {
   const FleetResult refused = run_fleet(scenarios, resume);
   EXPECT_FALSE(refused.ok());
   EXPECT_NE(refused.error.find("corrupt"), std::string::npos) << refused.error;
+}
+
+TEST(FleetResume, RefusesAManifestWhoseTaskCountDisagreesWithItsShards) {
+  // A well-formed manifest can still be inconsistent: the frontier task is
+  // derived from shards_done, so a tasks_done that disagrees would resume
+  // from the wrong task.
+  const auto scenarios = small_grid();
+  const fs::path dir = fresh_dir("shape_resume");
+  FleetOptions opts = checkpointed_opts(dir, 2);
+  opts.on_progress = [](std::uint64_t done, std::uint64_t) { return done < 2; };
+  ASSERT_TRUE(run_fleet(scenarios, opts).stopped);
+
+  const std::string manifest = (dir / "manifest.ckpt").string();
+  CheckpointState state;
+  std::string error;
+  ASSERT_TRUE(read_checkpoint(manifest, &state, &error)) << error;
+  ASSERT_EQ(state.tasks_done, 4u);
+  state.tasks_done = 3;
+  ASSERT_TRUE(write_checkpoint(manifest, state, &error)) << error;
+
+  FleetOptions resume = checkpointed_opts(dir, 2);
+  resume.resume = true;
+  const FleetResult refused = run_fleet(scenarios, resume);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.error.find("shape"), std::string::npos) << refused.error;
 }
 
 // ------------------------------------------------- checkpoint round trip
@@ -787,7 +814,9 @@ TEST(Spool, ShortWriteSurfacesAsACleanError) {
 
   // The header + first rows fit the staging buffer; the gated flush
   // accepts only 7 bytes and then reports ENOSPC.
-  spool.append(scenarios[0], 101, result);
+  double values[exp::kMetricCount];
+  exp::Aggregate::session_values(result, values);
+  spool.append_values(scenarios[0], 101, values, result.trace_digest);
   IoHooks::write_gate = [](std::size_t) { return std::size_t{7}; };
   error.clear();
   EXPECT_FALSE(spool.flush(&error));

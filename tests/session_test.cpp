@@ -91,5 +91,24 @@ TEST(SessionSmoke, DeterministicAcrossRuns) {
   EXPECT_EQ(a.wall.as_micros(), b.wall.as_micros());
 }
 
+TEST(SessionSmoke, TinyBandwidthStepWaitsForTheNextStep) {
+  // At 1e-15 Mbps a segment would complete past 2^63 µs. The downloader
+  // must wait for the 10 Mbps step at t = 1 s, as it does through an
+  // outage, instead of re-pumping every microsecond (a million events per
+  // simulated second). The wall-clock deadline bounds a regression.
+  SessionConfig config = base_config();
+  config.governor = "ondemand";
+  config.net = NetProfile::kTrace;
+  config.task_timeout_ms = 10 * 1000;
+  config.trace = {{sim::SimTime::seconds(0), 0.0}, {sim::SimTime::seconds(1), 10.0}};
+  const SessionResult outage = run_session(config);
+  config.trace = {{sim::SimTime::seconds(0), 1e-15}, {sim::SimTime::seconds(1), 10.0}};
+  const SessionResult tiny = run_session(config);
+
+  ASSERT_TRUE(outage.finished);
+  EXPECT_TRUE(tiny.finished);
+  EXPECT_LT(tiny.sim_events, outage.sim_events + 1000);
+}
+
 }  // namespace
 }  // namespace vafs::core

@@ -381,10 +381,11 @@ TEST(Rng, ExponentialMeanRoughlyCorrect) {
 
 TEST(Rng, LognormalIsPositiveWithExpectedMedian) {
   Rng rng(13);
-  SampleSet samples;
-  for (int i = 0; i < 20'000; ++i) samples.add(rng.lognormal(1.0, 0.5));
-  EXPECT_GT(samples.min(), 0.0);
-  EXPECT_NEAR(samples.percentile(0.5), std::exp(1.0), 0.1);
+  std::vector<double> samples;
+  for (int i = 0; i < 20'000; ++i) samples.push_back(rng.lognormal(1.0, 0.5));
+  std::sort(samples.begin(), samples.end());
+  EXPECT_GT(samples.front(), 0.0);
+  EXPECT_NEAR(samples[samples.size() / 2], std::exp(1.0), 0.1);
 }
 
 TEST(Rng, BernoulliEdgeCases) {
@@ -430,55 +431,6 @@ TEST(OnlineStats, MergeMatchesSequential) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
   EXPECT_EQ(a.min(), all.min());
   EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(SampleSet, ExactPercentiles) {
-  SampleSet s;
-  for (int i = 100; i >= 1; --i) s.add(i);  // 1..100, reversed insertion
-  EXPECT_EQ(s.percentile(0.0), 1.0);
-  EXPECT_EQ(s.percentile(1.0), 100.0);
-  EXPECT_NEAR(s.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(s.percentile(0.95), 95.0, 1.0);
-}
-
-TEST(SampleSet, CacheInvalidatedByAdd) {
-  SampleSet s;
-  s.add(1.0);
-  EXPECT_EQ(s.percentile(1.0), 1.0);
-  s.add(10.0);
-  EXPECT_EQ(s.percentile(1.0), 10.0);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total_weight(), 5.0);
-  EXPECT_EQ(h.bin_weight(0), 2.0);
-  EXPECT_EQ(h.bin_weight(2), 1.0);
-  EXPECT_EQ(h.bin_weight(4), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 0.4);
-  EXPECT_EQ(h.bin_lo(1), 2.0);
-  EXPECT_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, WeightedAdds) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0, 3.0);
-  h.add(3.0, 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(1), 0.25);
-}
-
-TEST(Histogram, RenderContainsEveryBin) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  const std::string text = h.render();
-  EXPECT_NE(text.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 }  // namespace

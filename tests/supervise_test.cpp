@@ -2,8 +2,8 @@
 // its correctness claims:
 //
 //  1. Clean path: a supervised run is bit-identical — aggregate state
-//     bits, digest chain, spool bytes — to the in-process fleet runner at
-//     any worker count.
+//     bits, digest chain, spool and manifest bytes — to the in-process
+//     fleet runner at any worker count.
 //  2. Chaos path: with seeded HarnessChaos injection the run completes;
 //     the quarantine set is exactly the deterministic prediction from
 //     chaos_fate (every attempt lethal); and the digest chain over the
@@ -147,6 +147,8 @@ TEST(Supervise, CleanPathMatchesInProcessFleetBitwise) {
   const fleet::FleetResult ref = run_fleet(scenarios, fopts);
   ASSERT_TRUE(ref.complete()) << ref.error;
   const std::string ref_spool = slurp(ref_dir / "spool.csv");
+  const std::string ref_manifest = slurp(ref_dir / "manifest.ckpt");
+  ASSERT_FALSE(ref_manifest.empty());
 
   for (const int workers : {1, 3}) {
     const fs::path dir = fresh_dir("clean_w" + std::to_string(workers));
@@ -166,6 +168,9 @@ TEST(Supervise, CleanPathMatchesInProcessFleetBitwise) {
       expect_agg_bits(sup.fleet.scenarios[s].agg, ref.scenarios[s].agg);
     }
     EXPECT_EQ(slurp(dir / "spool.csv"), ref_spool);
+    // Both runners checkpoint through one ledger: the manifests match
+    // byte for byte.
+    EXPECT_EQ(slurp(dir / "manifest.ckpt"), ref_manifest);
     // Nothing was quarantined, so no quarantine log entries.
     EXPECT_EQ(slurp(dir / "quarantine.jsonl"), "");
   }
