@@ -9,6 +9,29 @@ namespace {
 
 constexpr double kPeltHalflifeUs = 32'000.0;  // 32 ms, as in the kernel
 constexpr double kCycleEpsilon = 0.5;         // sub-cycle residue counts as done
+constexpr std::int64_t kDecayTableSize = std::int64_t{1} << 15;  // 256 KiB of doubles
+
+/// The one PELT decay expression: the table and the long-segment fallback
+/// both evaluate it, so a table entry cannot differ from a direct call.
+double exact_pelt_decay(sim::SimTime d) {
+  return std::exp2(-d.as_seconds_f() * 1e6 / kPeltHalflifeUs);
+}
+
+/// exact_pelt_decay(µs) for every µs below kDecayTableSize, filled at run
+/// time on first use and shared read-only by every CpuModel in the process
+/// (C++11 makes the static's initialisation thread-safe). Not constexpr on
+/// purpose: the compiler rounds a compile-time exponential itself, which
+/// may differ from libm's run-time result in the last bit.
+const double* shared_decay_table() {
+  static const std::vector<double> table = [] {
+    std::vector<double> values(kDecayTableSize);
+    for (std::int64_t us = 0; us < kDecayTableSize; ++us) {
+      values[us] = exact_pelt_decay(sim::SimTime::micros(us));
+    }
+    return values;
+  }();
+  return table.data();
+}
 
 }  // namespace
 
@@ -18,10 +41,18 @@ CpuModel::CpuModel(sim::Simulator& simulator, OppTable opps, CpuPowerModel power
       opps_(std::move(opps)),
       power_(power),
       transition_latency_(transition_latency),
+      decay_table_(shared_decay_table()),
       cur_opp_(0),
       wall_in_state_(opps_.size(), sim::SimTime::zero()),
       busy_in_state_(opps_.size(), sim::SimTime::zero()),
-      trans_table_(opps_.size() * opps_.size(), 0) {}
+      trans_table_(opps_.size() * opps_.size(), 0) {
+  const double max_khz = static_cast<double>(opps_.max().freq_khz);
+  for (std::size_t i = 0; i < opps_.size(); ++i) {
+    const double khz = static_cast<double>(opps_.at(i).freq_khz);
+    capacity_.push_back(khz / max_khz);
+    rate_.push_back(khz / 1000.0);
+  }
+}
 
 void CpuModel::advance_slow() {
   sim::SimTime now = sim_.now();
@@ -41,23 +72,24 @@ void CpuModel::advance_slow() {
       idle_time_ += d;
     }
 
-    // PELT: frequency-invariant decayed utilization. A fully-decayed idle
-    // signal stays at exactly 0 without evaluating the exponential.
-    const double contrib =
-        is_busy && !frozen
-            ? static_cast<double>(cur_freq_khz()) / static_cast<double>(opps_.max().freq_khz)
-            : 0.0;
+    // PELT: frequency-invariant decayed utilization, updated on every
+    // segment whether or not the governor reads it, so a session that
+    // switches to schedutil mid-run reads the same value. A fully-decayed
+    // idle signal stays at exactly 0 without a decay lookup.
+    const bool running = is_busy && !frozen;
+    const double contrib = running ? capacity_[cur_opp_] : 0.0;
     if (pelt_util_ != 0.0 || contrib != 0.0) {
       const double decay = pelt_decay(d);
       pelt_util_ = pelt_util_ * decay + contrib * (1.0 - decay);
     }
 
-    if (is_busy && !frozen) {
+    if (running) {
       // Processor sharing: k tasks each retire d * f / k cycles. k is
       // constant within the segment because every change point (submit,
-      // cancel, completion, freq change) re-enters advance() first.
-      const double per_task =
-          static_cast<double>(d.as_micros()) * cycles_per_us() / static_cast<double>(tasks_.size());
+      // cancel, completion, freq change) re-enters advance() first. A lone
+      // task skips the division, which by 1.0 would change no value.
+      double per_task = static_cast<double>(d.as_micros()) * rate_[cur_opp_];
+      if (tasks_.size() > 1) per_task /= static_cast<double>(tasks_.size());
       for (auto& task : tasks_) {
         task.cycles_remaining = std::max(0.0, task.cycles_remaining - per_task);
       }
@@ -66,12 +98,9 @@ void CpuModel::advance_slow() {
   }
 }
 
-double CpuModel::pelt_decay(sim::SimTime d) {
-  if (d != decay_for_) {
-    decay_for_ = d;
-    decay_value_ = std::exp2(-d.as_seconds_f() * 1e6 / kPeltHalflifeUs);
-  }
-  return decay_value_;
+double CpuModel::pelt_decay(sim::SimTime d) const {
+  const std::int64_t us = d.as_micros();
+  return us >= 0 && us < kDecayTableSize ? decay_table_[us] : exact_pelt_decay(d);
 }
 
 void CpuModel::reschedule_completion() {
@@ -86,8 +115,7 @@ void CpuModel::reschedule_completion() {
   const sim::SimTime now = sim_.now();
   sim::SimTime when = now;
   if (freeze_until_ > now) when = freeze_until_;
-  const double exec_us =
-      min_cycles * static_cast<double>(tasks_.size()) / cycles_per_us();
+  const double exec_us = min_cycles * static_cast<double>(tasks_.size()) / rate_[cur_opp_];
   when += sim::SimTime::micros(static_cast<std::int64_t>(std::ceil(exec_us)));
   if (when <= now) when = now;  // fire "immediately" for zero-cycle tasks
   // Re-arm the pending event in place when possible; this is the hottest

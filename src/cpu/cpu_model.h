@@ -122,22 +122,26 @@ class CpuModel final : public CpuSink {
   }
   void advance_slow();
 
-  /// exp2 of the PELT decay for a segment of length `d`, memoized on the
-  /// last distinct d — idle stretches tick at a governor's fixed sampling
-  /// period, so consecutive segments repeat the same length constantly.
-  double pelt_decay(sim::SimTime d);
+  /// The PELT decay over a segment of length `d`: read from the shared
+  /// exact table for d < 2^15 µs, evaluated otherwise. Bit-identical
+  /// either way.
+  double pelt_decay(sim::SimTime d) const;
 
   /// Re-schedules the completion event for the earliest-finishing task.
   void reschedule_completion();
 
   void on_completion_event();
 
-  double cycles_per_us() const { return static_cast<double>(cur_freq_khz()) / 1000.0; }
-
   sim::Simulator& sim_;
   OppTable opps_;
   CpuPowerModel power_;
   sim::SimTime transition_latency_;
+  /// Per-OPP constants, fixed at construction: the PELT contribution of
+  /// running at OPP i (f_i / f_max) and the cycles it retires per µs.
+  std::vector<double> capacity_;
+  std::vector<double> rate_;
+  /// The process-wide decay table (read-only; see pelt_decay).
+  const double* decay_table_;
 
   std::size_t cur_opp_;
   std::vector<Task> tasks_;
@@ -166,8 +170,6 @@ class CpuModel final : public CpuSink {
   double idle_energy_mj_ = 0.0;  // priced by cpuidle_; unused when null
 
   double pelt_util_ = 0.0;
-  sim::SimTime decay_for_ = sim::SimTime::max();  // pelt_decay memo key
-  double decay_value_ = 0.0;
 
   sim::EventHandle completion_event_;
   std::vector<std::function<void(std::uint32_t, std::uint32_t)>> freq_listeners_;

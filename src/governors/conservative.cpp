@@ -36,7 +36,7 @@ std::vector<cpu::Tunable> ConservativeGovernor::tunables() {
       {"sampling_rate", [this] { return std::to_string(t_.sampling_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
          const auto us = parse_u64(v);
-         if (us == UINT64_MAX || us < 1000) return sysfs::Errno::kInval;
+         if (us > kMaxTunableUs || us < 1000) return sysfs::Errno::kInval;
          t_.sampling_rate_us = us;
          rearm();
          return {};

@@ -3,6 +3,8 @@
 // ondemand-family governors are built on.
 #pragma once
 
+#include <cstdint>
+
 #include "cpu/cpufreq_policy.h"
 #include "cpu/governor.h"
 #include "simcore/simulator.h"
@@ -50,5 +52,9 @@ class SamplingGovernorBase : public cpu::Governor {
 
 /// Parses an unsigned decimal tunable; returns UINT64_MAX on failure.
 std::uint64_t parse_u64(std::string_view text);
+
+/// Largest value a microsecond tunable accepts: the kernel's attributes are
+/// `unsigned int`, and any value that fits one converts to SimTime exactly.
+inline constexpr std::uint64_t kMaxTunableUs = UINT32_MAX;
 
 }  // namespace vafs::governors

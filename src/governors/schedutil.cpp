@@ -29,7 +29,7 @@ std::vector<cpu::Tunable> SchedutilGovernor::tunables() {
       {"rate_limit_us", [this] { return std::to_string(t_.rate_limit_us); },
        [this](std::string_view v) -> sysfs::Status {
          const auto us = parse_u64(v);
-         if (us == UINT64_MAX) return sysfs::Errno::kInval;
+         if (us > kMaxTunableUs) return sysfs::Errno::kInval;
          t_.rate_limit_us = us;
          return {};
        }},

@@ -1,6 +1,8 @@
 #include "trace/bandwidth_file.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -16,25 +18,38 @@ bool load_bandwidth_trace(std::istream& in, std::vector<net::TraceBandwidth::Ste
     return false;
   };
 
+  double prev_t_s = 0.0;
   while (std::getline(in, line)) {
     ++line_no;
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
-    double t_s = 0.0, mbps = 0.0;
-    if (!(fields >> t_s)) continue;  // blank or comment-only line
+    std::string time_field;
+    if (!(fields >> time_field)) continue;  // blank or comment-only line
+    char* end = nullptr;
+    const double t_s = std::strtod(time_field.c_str(), &end);
+    if (end != time_field.c_str() + time_field.size() || !std::isfinite(t_s)) {
+      return fail("time is not a number");
+    }
+    double mbps = 0.0;
     if (!(fields >> mbps)) return fail("expected 'TIME_S MBPS'");
     std::string extra;
     if (fields >> extra) return fail("trailing garbage '" + extra + "'");
     if (mbps < 0) return fail("negative bandwidth");
     if (t_s < 0) return fail("negative time");
+    // 2^63 µs is the first time SimTime cannot hold: refuse it before the
+    // conversion, which would otherwise overflow.
+    if (t_s * 1e6 >= 0x1p63) return fail("time out of range");
 
     const sim::SimTime at = sim::SimTime::seconds_f(t_s);
     if (steps->empty()) {
       if (!at.is_zero()) return fail("trace must start at time 0");
-    } else if (at <= steps->back().at) {
+    } else if (t_s <= prev_t_s) {
       return fail("times must be strictly increasing");
+    } else if (at == steps->back().at) {
+      return fail("time step below the 1 µs resolution");
     }
+    prev_t_s = t_s;
     steps->push_back({at, mbps});
   }
   if (steps->empty()) {

@@ -3,7 +3,9 @@
 // network conditions instead of synthetic processes.
 //
 // Format: one "TIME_SECONDS MBPS" pair per line, '#' comments and blank
-// lines ignored, times strictly increasing and starting at 0.
+// lines ignored, times strictly increasing and starting at 0. Times are
+// kept in whole microseconds: two steps on the same microsecond, a time
+// that is not a finite number and one past SimTime's range are refused.
 #pragma once
 
 #include <iosfwd>

@@ -2,7 +2,10 @@
 // cycle-exact execution/residency/energy accounting of CpuModel.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cpu/cpu_model.h"
+#include "cpu/cpuidle.h"
 #include "cpu/opp.h"
 #include "cpu/power_model.h"
 #include "simcore/simulator.h"
@@ -235,6 +238,78 @@ TEST_F(CpuModelTest, PeltIsFrequencyInvariant) {
   cpu_.submit("t", 1e12, nullptr);
   sim_.run_until(sim::SimTime::millis(500));
   EXPECT_NEAR(cpu_.pelt_util(), 0.5, 0.02);
+}
+
+/// A stand-alone copy of the model's PELT recurrence: one segment of length
+/// `d` at contribution `contrib` folded into `util`, decayed by exp2 itself.
+double reference_pelt_fold(double util, sim::SimTime d, double contrib) {
+  if (util == 0.0 && contrib == 0.0) return util;
+  const double decay = std::exp2(-d.as_seconds_f() * 1e6 / 32'000.0);
+  return util * decay + contrib * (1.0 - decay);
+}
+
+TEST_F(CpuModelTest, PeltMatchesTheReferenceRecurrenceBitForBit) {
+  // Segment lengths straddle the 2^15 us edge of the shared decay table.
+  // The reference decays by the measured segment (a run-time value, so
+  // the compiler cannot fold the exponential at build time).
+  double reference = 0.0;
+  auto segment = [&](std::int64_t us, double contrib) {
+    const sim::SimTime start = sim_.now();
+    sim_.run_until(start + sim::SimTime::micros(us));
+    reference = reference_pelt_fold(reference, sim_.now() - start, contrib);
+    EXPECT_EQ(cpu_.pelt_util(), reference) << "after a segment of " << us << " us";
+  };
+  const auto a = cpu_.submit("a", 1e12, nullptr);  // busy at 1 of 2 GHz: 0.5
+  for (const std::int64_t us : {1, 4'000, 20'000}) segment(us, 0.5);
+  cpu_.set_frequency(2'000'000);  // the 100 us transition retires nothing
+  segment(100, 0.0);
+  for (const std::int64_t us : {32'767, 32'768}) segment(us, 1.0);
+  const auto b = cpu_.submit("b", 1e12, nullptr);  // two tasks share the core
+  for (const std::int64_t us : {32'769, 33'333}) segment(us, 1.0);
+  ASSERT_TRUE(cpu_.cancel(a));
+  ASSERT_TRUE(cpu_.cancel(b));
+  segment(100'000, 0.0);  // idle: decay only
+  EXPECT_GT(reference, 0.0);
+}
+
+TEST_F(CpuModelTest, CpuidleEnergyIsBusyPlusTransitionsPlusEachIdleGap) {
+  CpuidleModel cpuidle(CpuidleParams::mobile(), CpuidleStrategy::kMenu);
+  cpu_.set_cpuidle(&cpuidle);
+  auto idle = [&](std::int64_t us) { sim_.run_until(sim_.now() + sim::SimTime::micros(us)); };
+  idle(3'000);
+  cpu_.submit("a", 2e6, nullptr);  // 2 ms at 1 GHz
+  sim_.run();
+  idle(30'000);
+  cpu_.submit("b", 4e6, nullptr);
+  cpu_.set_frequency(2'000'000);  // 100 us stall, then 2 ms at 2 GHz
+  sim_.run();
+  idle(30'000);
+  cpu_.submit("c", 4e6, nullptr);
+  sim_.run();
+  idle(400);
+  cpu_.submit("d", 1e6, nullptr);
+  sim_.run();
+  idle(90'000);
+  cpu_.submit("e", 4e6, nullptr);
+  idle(1'000);  // stop mid-task, so no idle period is open
+
+  // The same gaps, in the same order, priced by an identical model.
+  CpuidleModel reference(CpuidleParams::mobile(), CpuidleStrategy::kMenu);
+  double idle_mj = 0.0;
+  for (const std::int64_t us : {3'000, 30'000, 30'000, 400, 90'000}) {
+    idle_mj += reference.record_idle(sim::SimTime::micros(us));
+  }
+  const CpuPowerModel model;
+  double busy_mj = 0.0;
+  for (std::size_t i = 0; i < cpu_.opps().size(); ++i) {
+    busy_mj += cpu_.busy_time_in_state(i).as_seconds_f() * model.busy_mw(cpu_.opps().at(i));
+  }
+  const double transition_mj = model.transition_uj() / 1000.0;
+
+  EXPECT_EQ(cpuidle.periods(), 5u);
+  EXPECT_GT(cpuidle.entries(1), 0u);  // the menu went below WFI at least once
+  EXPECT_EQ(cpu_.total_busy_time().as_micros(), 2'000 + 2'100 + 2'000 + 500 + 1'000);
+  EXPECT_DOUBLE_EQ(cpu_.energy_mj(), busy_mj + idle_mj + transition_mj);
 }
 
 TEST_F(CpuModelTest, FreqListenerFires) {

@@ -202,6 +202,29 @@ TEST_F(CpufreqTest, TunableWriteValidation) {
   EXPECT_EQ(tree_.write(attr("ondemand/sampling_rate"), "10").error(), sysfs::Errno::kInval);
 }
 
+TEST_F(CpufreqTest, MicrosecondTunablesRefuseValuesWiderThanUnsignedInt) {
+  // The kernel's attributes are unsigned int. A wider value used to wrap
+  // when the governor converted it to a (signed) SimTime.
+  const std::pair<const char*, const char*> knobs[] = {
+      {"ondemand", "sampling_rate"},  {"conservative", "sampling_rate"},
+      {"interactive", "timer_rate"},  {"interactive", "min_sample_time"},
+      {"schedutil", "rate_limit_us"},
+  };
+  for (const auto& [governor, knob] : knobs) {
+    ASSERT_TRUE(tree_.write(attr("scaling_governor"), governor).ok());
+    const std::string path = std::string(governor) + "/" + knob;
+    const std::string before = read(path);
+    for (const char* wide : {"4294967296", "9300000000000000000"}) {
+      const sysfs::Status status = tree_.write(attr(path), wide);
+      EXPECT_FALSE(status.ok()) << path << " = " << wide;
+      EXPECT_EQ(status.error(), sysfs::Errno::kInval) << path << " = " << wide;
+      EXPECT_EQ(read(path), before) << path;
+    }
+    EXPECT_TRUE(tree_.write(attr(path), "4294967295").ok()) << path;
+    EXPECT_EQ(read(path), "4294967295") << path;
+  }
+}
+
 TEST_F(CpufreqTest, ParseKhzRejectsNonDigits) {
   EXPECT_EQ(parse_khz("1200000"), 1'200'000u);
   EXPECT_EQ(parse_khz(""), std::nullopt);

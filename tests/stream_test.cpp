@@ -408,6 +408,36 @@ TEST_F(PlayerTest, SeekWithInflightFetchIgnoresStaleSegment) {
   EXPECT_EQ(p.qoe().seek_count, 1u);
 }
 
+TEST_F(PlayerTest, SeekDuringStallCountsTheStallUpToTheSeek) {
+  cpu_.set_frequency(2'100'000);
+  // An outage from t = 6 s outlasts the 6 s buffer, so playback stalls.
+  net::TraceBandwidth bw({{sim::SimTime::zero(), 12.0},
+                          {sim::SimTime::seconds(6), 0.05},
+                          {sim::SimTime::seconds(16), 12.0}},
+                         /*loop=*/false);
+  PlayerConfig config;
+  config.buffer_target = sim::SimTime::seconds(6);
+  Player& p = make_player(bw, 2, config);
+  bool done = false;
+  p.start([&] { done = true; });
+  while (p.state() != PlayerState::kRebuffering && sim_.step()) {
+  }
+  ASSERT_EQ(p.state(), PlayerState::kRebuffering);
+  const sim::SimTime stall_start = sim_.now();
+  sim_.run_until(stall_start + sim::SimTime::seconds(1));
+  ASSERT_EQ(p.state(), PlayerState::kRebuffering);  // still inside the outage
+  const sim::SimTime seek_at = sim_.now();
+  ASSERT_TRUE(p.seek(sim::SimTime::seconds(4)));
+  EXPECT_EQ(p.qoe().rebuffer_time, seek_at - stall_start);
+
+  while (!done && sim_.step()) {
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(p.qoe().rebuffer_events, 1u);  // the rest of the outage is seek time
+  EXPECT_EQ(p.qoe().rebuffer_time, seek_at - stall_start);
+  EXPECT_GT(p.qoe().seek_time, sim::SimTime::zero());
+}
+
 TEST_F(PlayerTest, SeekRejectedBeforePlayback) {
   cpu_.set_frequency(2'100'000);
   net::ConstantBandwidth bw(20.0);

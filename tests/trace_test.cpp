@@ -138,6 +138,23 @@ TEST(BandwidthFile, RejectsMalformedInput) {
 
   std::istringstream empty("# nothing\n");
   EXPECT_FALSE(load_bandwidth_trace(empty, &steps, &error));
+
+  // Only a line with no field left is skipped; a bad time is refused with
+  // its line number, and never passes through an overflowing conversion.
+  const std::pair<const char*, const char*> bad_times[] = {
+      {"0 5\nabc 10\n20 1\n", "time is not a number"},
+      {"0 5\nnan 10\n", "time is not a number"},
+      {"0 5\ninf 10\n", "time is not a number"},
+      {"0 5\n1e300 10\n", "time out of range"},
+      {"0 5\n1e-7 10\n", "below the 1 µs resolution"},
+  };
+  for (const auto& [text, why] : bad_times) {
+    std::istringstream in(text);
+    error.clear();
+    EXPECT_FALSE(load_bandwidth_trace(in, &steps, &error)) << text;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << text << " -> " << error;
+    EXPECT_NE(error.find(why), std::string::npos) << text << " -> " << error;
+  }
 }
 
 TEST(BandwidthFile, SaveLoadRoundTrips) {
