@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   base.media_duration = app.session_seconds(300);
   base.net = core::NetProfile::kGood;
   base.thermal_enabled = true;
-  base.thermal.ambient_c = 40.0;  // summer car-mount worst case
+  base.profile.thermal.ambient_c = 40.0;  // summer car-mount worst case
 
   const exp::ResultSet& results = app.run(exp::ExperimentGrid(base).governors(governors));
 

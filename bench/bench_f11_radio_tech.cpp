@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   exp::ExperimentGrid grid(base);
   std::vector<std::pair<std::string, exp::ExperimentGrid::Mutator>> radio_axis;
   for (const auto& [name, params] : radios) {
-    radio_axis.emplace_back(name,
-                            [params = params](core::SessionConfig& c) { c.radio = params; });
+    radio_axis.emplace_back(
+        name, [params = params](core::SessionConfig& c) { c.profile.radio = params; });
   }
   grid.axis("radio", std::move(radio_axis)).governors(governors);
 

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, exp::ExperimentGrid::Mutator>> idle_axis;
   for (const auto strategy : strategies) {
     idle_axis.emplace_back(cpu::cpuidle_strategy_name(strategy),
-                           [strategy](core::SessionConfig& c) { c.cpuidle = strategy; });
+                           [strategy](core::SessionConfig& c) { c.profile.cpuidle = strategy; });
   }
   grid.axis("cpuidle", std::move(idle_axis)).governors(governors);
 

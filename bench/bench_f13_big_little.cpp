@@ -1,11 +1,12 @@
 // F13 — big.LITTLE (extension): does a second, efficient cluster change
 // the picture?
 //
-// Same sessions as T1 with the LITTLE cluster enabled. Kernel governors
-// keep decode on the big cluster (static affinity, each cluster's governor
-// following its own load); VAFS additionally *places* decode: on LITTLE
-// whenever predicted demand — inflated by the 1.7x IPC penalty — fits
-// under LITTLE's top OPP with margin.
+// Same sessions as T1, on the single-core "default" profile and on the
+// "midrange" profile, which adds a LITTLE cluster to the same big core.
+// Kernel governors keep decode on the big cluster (static affinity, each
+// cluster's governor following its own load); VAFS additionally *places*
+// decode: on LITTLE whenever predicted demand — inflated by the 1.7x IPC
+// penalty — fits under LITTLE's top OPP with margin.
 //
 // Expected shape: for kernel governors big.LITTLE only helps a little (the
 // network stack moves off big); VAFS-bL moves the decode itself at
@@ -33,8 +34,10 @@ int main(int argc, char** argv) {
 
   exp::ExperimentGrid grid(base);
   grid.governors(governors)
-      .axis("cluster", {{"big-only", [](core::SessionConfig& c) { c.big_little = false; }},
-                        {"big.LITTLE", [](core::SessionConfig& c) { c.big_little = true; }}})
+      .axis("cluster",
+            {{"big-only", [](core::SessionConfig& c) { c.profile = device::profile("default"); }},
+             {"big.LITTLE",
+              [](core::SessionConfig& c) { c.profile = device::profile("midrange"); }}})
       .reps(reps);
 
   const exp::ResultSet& results = app.run(grid);
@@ -53,10 +56,13 @@ int main(int argc, char** argv) {
         std::printf(" %9.2f", a.cpu_mj.mean() / 1000.0);
       }
       if (cluster == "big.LITTLE") {
-        const auto& sr =
-            results.at({{"governor", governor}, {"cluster", cluster}, {"rep", "720p"}});
-        std::printf("  %llu",
-                    static_cast<unsigned long long>(sr.run0().decode_frames_little));
+        // A failed run keeps an empty report, and prints 0.
+        const auto& clusters =
+            results.at({{"governor", governor}, {"cluster", cluster}, {"rep", "720p"}})
+                .run0()
+                .clusters;
+        std::printf("  %llu", static_cast<unsigned long long>(
+                                  clusters.size() > 1 ? clusters[1].decode_frames : 0));
       }
       std::printf("\n");
     }

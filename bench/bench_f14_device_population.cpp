@@ -158,9 +158,7 @@ int main(int argc, char** argv) {
     for (const auto& m : mixes) {
       const auto& sr = by_mix.at({{"governor", governor}, {"mix", m}});
       std::printf(" %10.2f", sr.agg.total_mj.mean() / 1000.0);
-      for (const auto& run : sr.runs) {
-        if (!run.device.empty()) ++drawn[run.device];
-      }
+      for (const auto& run : sr.runs) ++drawn[run.device];
     }
     std::printf("  ");
     for (const auto& [name, count] : drawn) std::printf(" %s:%d", name.c_str(), count);

@@ -3,12 +3,11 @@
 // (battery-constrained user, variable network, player adapting quality).
 //
 // Uses rate-based ABR and compares the stock Android governors against
-// VAFS, including a per-phase timeline summary from the recorder.
+// VAFS, including the time each spent above 1 GHz.
 #include <cstdio>
 #include <string>
 
 #include "core/session.h"
-#include "trace/recorder.h"
 
 namespace {
 
@@ -20,11 +19,7 @@ void run_one(const std::string& governor, double* ondemand_cpu) {
   config.net = vafs::core::NetProfile::kPoor;
   config.seed = 2026;
 
-  vafs::trace::TimelineRecorder recorder(vafs::sim::SimTime::millis(200));
-  vafs::core::SessionHooks hooks;
-  hooks.on_ready = [&recorder](vafs::core::SessionLive& live) { recorder.attach(live); };
-
-  const auto r = vafs::core::run_session(config, hooks);
+  const auto r = vafs::core::run_session(config);
   if (!r.finished) {
     std::printf("%-12s DID NOT FINISH\n", governor.c_str());
     return;
@@ -33,8 +28,8 @@ void run_one(const std::string& governor, double* ondemand_cpu) {
 
   // Time the CPU spent above 1 GHz — the burst signature.
   double above_1g = 0;
-  for (const auto& s : recorder.samples()) {
-    if (s.freq_khz > 1'000'000) above_1g += 0.2;
+  for (const auto& [khz, frac] : r.residency) {
+    if (khz > 1'000'000) above_1g += frac * r.wall.as_seconds_f();
   }
 
   std::printf("%-12s cpu %7.1f J (%5.1f%% vs ondemand)  mean %6.0f kbps  "

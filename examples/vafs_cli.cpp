@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "core/session.h"
@@ -40,7 +41,7 @@ using namespace vafs;
                "  --segment SECS     segment duration (default 4)\n"
                "  --seed N           RNG seed (default 42)\n"
                "  --live             live mode (availability-gated segments)\n"
-               "  --big-little       enable the LITTLE cluster + router\n"
+               "  --big-little       run on the midrange profile (big + LITTLE)\n"
                "  --thermal          enable the thermal model + throttle\n"
                "  --cpuidle MODE     shallow|menu|oracle (default shallow)\n"
                "  --margin X         VAFS safety margin (default 0.15)\n"
@@ -107,6 +108,11 @@ void print_csv_header() {
 int main(int argc, char** argv) {
   core::SessionConfig config;
   std::string radio_name = "lte";
+  // Device overrides, applied to the chosen profile once every flag is
+  // parsed, so their order on the command line does not matter.
+  bool big_little = false;
+  std::optional<net::RadioParams> radio;
+  std::optional<cpu::CpuidleStrategy> cpuidle;
   bool csv = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -160,34 +166,47 @@ int main(int argc, char** argv) {
       else usage(argv[0], "unknown --abr kind");
     } else if (is("--radio")) {
       radio_name = next_arg(argc, argv, &i, arg);
-      if (radio_name == "lte") config.radio = net::RadioParams::lte();
-      else if (radio_name == "wifi") config.radio = net::RadioParams::wifi();
-      else if (radio_name == "3g") config.radio = net::RadioParams::umts_3g();
+      if (radio_name == "lte") radio = net::RadioParams::lte();
+      else if (radio_name == "wifi") radio = net::RadioParams::wifi();
+      else if (radio_name == "3g") radio = net::RadioParams::umts_3g();
       else usage(argv[0], "unknown --radio tech");
     } else if (is("--cpuidle")) {
       const std::string v = next_arg(argc, argv, &i, arg);
-      if (v == "shallow") config.cpuidle = cpu::CpuidleStrategy::kShallowOnly;
-      else if (v == "menu") config.cpuidle = cpu::CpuidleStrategy::kMenu;
-      else if (v == "oracle") config.cpuidle = cpu::CpuidleStrategy::kOracle;
+      if (v == "shallow") cpuidle = cpu::CpuidleStrategy::kShallowOnly;
+      else if (v == "menu") cpuidle = cpu::CpuidleStrategy::kMenu;
+      else if (v == "oracle") cpuidle = cpu::CpuidleStrategy::kOracle;
       else usage(argv[0], "unknown --cpuidle mode");
     } else if (is("--live")) {
       config.player.live = true;
       config.player.startup_buffer = sim::SimTime::seconds(2);
       config.player.buffer_target = sim::SimTime::seconds(6);
     } else if (is("--big-little")) {
-      config.big_little = true;
+      big_little = true;
     } else if (is("--thermal")) {
       config.thermal_enabled = true;
     } else {
       usage(argv[0], (std::string("unknown option ") + arg).c_str());
     }
   }
+  if (big_little) config.profile = device::profile("midrange");
+  if (radio) config.profile.radio = *radio;
+  if (cpuidle) config.profile.cpuidle = *cpuidle;
+
   core::SessionResult r;
   try {
     r = core::run_session(config);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
+  }
+
+  // The LITTLE side of a multi-cluster session: every cluster after the
+  // primary one.
+  double little_mj = 0.0;
+  std::uint64_t decode_little = 0;
+  for (std::size_t c = 1; c < r.clusters.size(); ++c) {
+    little_mj += r.clusters[c].cpu_mj;
+    decode_little += r.clusters[c].decode_frames;
   }
 
   if (csv) {
@@ -197,14 +216,15 @@ int main(int argc, char** argv) {
                 core::net_profile_name(config.net), radio_name.c_str(),
                 config.media_duration.as_seconds_f(), config.segment_duration.as_seconds_f(),
                 static_cast<unsigned long long>(config.seed), config.player.live ? 1 : 0,
-                config.big_little ? 1 : 0, config.thermal_enabled ? 1 : 0,
-                cpu::cpuidle_strategy_name(config.cpuidle), r.energy.cpu_mj, r.energy.radio_mj,
-                r.energy.display_mj, r.energy.total_mj(), r.qoe.startup_delay.as_seconds_f(),
+                big_little ? 1 : 0, config.thermal_enabled ? 1 : 0,
+                cpu::cpuidle_strategy_name(config.profile.cpuidle), r.energy.cpu_mj,
+                r.energy.radio_mj, r.energy.display_mj, r.energy.total_mj(),
+                r.qoe.startup_delay.as_seconds_f(),
                 static_cast<unsigned long long>(r.qoe.rebuffer_events),
                 r.qoe.rebuffer_time.as_seconds_f(), r.qoe.drop_ratio() * 100.0,
                 static_cast<unsigned long long>(r.freq_transitions), r.qoe.mean_bitrate_kbps,
                 r.peak_temp_c, r.throttled_time.as_seconds_f(),
-                static_cast<unsigned long long>(r.decode_frames_little), r.finished ? 1 : 0);
+                static_cast<unsigned long long>(decode_little), r.finished ? 1 : 0);
     return r.finished ? 0 : 1;
   }
 
@@ -236,10 +256,10 @@ int main(int argc, char** argv) {
                 r.throttled_time.as_seconds_f(),
                 static_cast<unsigned long long>(r.throttle_events));
   }
-  if (config.big_little) {
+  if (big_little) {
     std::printf("big.LITTLE:    little %.1f mJ, decode big/little %llu/%llu, %llu migrations\n",
-                r.cpu_little_mj, static_cast<unsigned long long>(r.decode_frames_big),
-                static_cast<unsigned long long>(r.decode_frames_little),
+                little_mj, static_cast<unsigned long long>(r.clusters[0].decode_frames),
+                static_cast<unsigned long long>(decode_little),
                 static_cast<unsigned long long>(r.decode_migrations));
   }
   if (r.vafs_plans > 0) {

@@ -83,7 +83,6 @@ struct SessionConfig {
   /// Step trace for kTrace (e.g. loaded via trace::load_bandwidth_trace).
   std::vector<net::TraceBandwidth::Step> trace;
   bool trace_loop = true;
-  net::RadioParams radio = net::RadioParams::lte();
   net::DownloaderParams downloader;
 
   // Fault injection (all rates zero by default: the fault layer is not
@@ -91,36 +90,21 @@ struct SessionConfig {
   // it). The plan is compiled once, per-seed, before the session starts.
   fault::FaultPlanConfig fault;
 
-  // Device. A named profile (device::profile("flagship"), ...) is the
-  // authoritative device description: cluster topology AND the
-  // device-level fields (display, radio, thermal params, cpuidle). The
-  // default-constructed profile (legacy(), no clusters) runs on
-  // device::profile("default")'s big cluster and display, with `radio`,
-  // `thermal`, `cpuidle` and `big_little` below taken from this config —
-  // byte-identical to the pre-profile bring-up.
-  device::DeviceProfile profile;
+  // Device: the only device description. Its cluster topology and its
+  // device-level fields (display, radio, thermal constants, cpuidle) are
+  // what the session brings up; set a registry profile
+  // (device::profile("flagship"), ...) or edit a field of this one.
+  device::DeviceProfile profile = device::profile("default");
   // Weighted device population: when non-empty it overrides `profile`
   // with a per-seed draw (a pure hash of `seed`, so fleet shard
   // boundaries, job counts and resume points cannot move a session onto
   // a different device).
   device::PopulationMix population;
 
-  // Thermal (off by default; experiment F10 enables it).
+  // Thermal (off by default; experiment F10 enables it). The thermal
+  // constants are the profile's.
   bool thermal_enabled = false;
-  thermal::ThermalParams thermal;
   thermal::ThrottleParams throttle;
-
-  // Idle-state handling (F12 sweeps the strategies).
-  cpu::CpuidleStrategy cpuidle = cpu::CpuidleStrategy::kShallowOnly;
-  cpu::CpuidleParams cpuidle_params = cpu::CpuidleParams::mobile();
-
-  // big.LITTLE (F13) compat shim over the profile layer: adds a LITTLE
-  // cluster with its own policy (policy1); network work runs there, decode
-  // is placed by the router (statically on big for kernel governors,
-  // dynamically by VAFS). Ignored when a named profile / population is
-  // set — the profile's cluster list is the topology then.
-  bool big_little = false;
-  double little_cycle_penalty = 1.7;
 
   stream::PlayerConfig player;
 
@@ -176,24 +160,17 @@ struct SessionResult {
   sim::SimTime throttled_time;
   std::uint64_t throttle_events = 0;
 
-  // Flattened multi-cluster view (zeroed for single-cluster sessions).
-  // cpu_mj in `energy` covers every cluster; cpu_little_mj is the share of
-  // all non-primary clusters, the *_little/_big pair splits decode frames
-  // primary vs rest. `residency`/`freq_transitions` above stay primary-
-  // cluster, exactly as in the big.LITTLE era; `clusters` below has the
-  // full per-cluster story.
-  double cpu_little_mj = 0.0;
-  std::uint64_t freq_transitions_little = 0;
-  std::uint64_t decode_frames_big = 0;
-  std::uint64_t decode_frames_little = 0;
+  // Decode-cluster changes made by the router (zero on single-cluster
+  // devices). cpu_mj in `energy` covers every cluster; `residency` and
+  // `freq_transitions` above are the primary cluster's, and `clusters`
+  // below has the per-cluster story.
   std::uint64_t decode_migrations = 0;
 
-  /// Resolved device profile name ("" for a profile-less config's legacy
-  /// bring-up) — fleet/population sweeps report per-class splits by it.
+  /// Resolved device profile name — fleet/population sweeps report
+  /// per-class splits by it.
   std::string device;
 
-  /// Per-cluster report, in cluster (policy) order. Single-cluster legacy
-  /// sessions get one entry named "big".
+  /// Per-cluster report, in cluster (policy) order.
   struct ClusterReport {
     std::string name;
     double cpu_mj = 0.0;
@@ -225,7 +202,6 @@ struct SessionLive {
   VafsController* vafs = nullptr;            // null unless governor == "vafs"
   fault::FaultInjector* faults = nullptr;    // null unless config.fault.any()
   thermal::ThermalModel* thermal = nullptr;  // null unless thermal_enabled
-  cpu::CpuModel* cpu_little = nullptr;       // cpus[1] on >=2 clusters, else null
   sched::ClusterRouter* router = nullptr;    // null on single-cluster devices
   std::vector<cpu::CpuModel*> cpus;          // all clusters, policy order
   std::vector<cpu::CpufreqPolicy*> policies;

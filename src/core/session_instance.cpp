@@ -75,60 +75,29 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
       tracer_(hooks.tracer) {
   obs::Tracer* tracer = tracer_;
 
-  // Resolve the device. A population draw (pure hash of the seed) wins,
-  // then an explicit named profile; a legacy() profile runs on the
-  // "default" profile's big cluster and display but keeps the config's
-  // radio, thermal, cpuidle and big_little fields, which reproduces the
-  // pre-profile device byte-for-byte.
-  const device::DeviceProfile* prof = nullptr;
-  if (!config.population.empty()) {
-    prof = &config.population.pick(config.seed);
-  } else if (!config.profile.legacy()) {
-    prof = &config.profile;
-  }
-
-  double display_mw = 0.0;
-  net::RadioParams radio_params = config.radio;
-  thermal::ThermalParams thermal_params = config.thermal;
-  cpu::CpuidleStrategy cpuidle_strategy = config.cpuidle;
-  cpu::CpuidleParams cpuidle_params = config.cpuidle_params;
-  if (prof != nullptr) {
-    device_name_ = prof->name;
-    specs_ = prof->clusters;
-    if (specs_.empty()) {
-      throw SessionError("device profile '" + prof->name + "' has no clusters");
-    }
-    display_mw = prof->display_mw;
-    radio_params = prof->radio;
-    thermal_params = prof->thermal;
-    cpuidle_strategy = prof->cpuidle;
-    cpuidle_params = prof->cpuidle_params;
-  } else {
-    const device::DeviceProfile& base = device::profile("default");
-    specs_.push_back(base.clusters.front());
-    display_mw = base.display_mw;
-    if (config.big_little) {
-      specs_.push_back(device::ClusterSpec{"little", cpu::OppTable::mobile_little_core(),
-                                           cpu::PowerModelParams::little_core(),
-                                           config.little_cycle_penalty,
-                                           sim::SimTime::micros(150)});
-    }
+  // Resolve the device: the population draw (a pure hash of the seed) if
+  // a mix is set, else the configured profile.
+  const device::DeviceProfile& prof =
+      config.population.empty() ? config.profile : config.population.pick(config.seed);
+  device_ = &prof;
+  const std::vector<device::ClusterSpec>& specs = prof.clusters;
+  if (specs.empty()) {
+    throw SessionError("device profile '" + prof.name + "' has no clusters");
   }
 
   // One CpuModel (+ optional cpuidle) per cluster. The primary cluster is
   // fully brought up (model, policy, power probe, sysfs binder) before any
   // secondary cluster is touched — the governor-timer event order in the
-  // queue depends on it, and the single-/two-cluster legacy paths must
-  // replay the pre-profile construction sequence exactly.
-  cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs_[0].opps,
-                                                  cpu::CpuPowerModel(specs_[0].power),
-                                                  specs_[0].transition_latency));
+  // queue depends on it, and the golden digests pin that order.
+  cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs[0].opps,
+                                                  cpu::CpuPowerModel(specs[0].power),
+                                                  specs[0].transition_latency));
   cpu::CpuModel& cpu_model = *cpus_[0];
 
   // kShallowOnly with the default WFI power is exactly the base model's
   // flat idle pricing; attach a cpuidle model only for deeper strategies.
-  if (cpuidle_strategy != cpu::CpuidleStrategy::kShallowOnly) {
-    cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(cpuidle_params, cpuidle_strategy));
+  if (prof.cpuidle != cpu::CpuidleStrategy::kShallowOnly) {
+    cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(prof.cpuidle_params, prof.cpuidle));
     cpu_model.set_cpuidle(cpuidles_.back().get());
   }
 
@@ -177,13 +146,13 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
 
   // Secondary clusters (policy1..policyN-1) and the task router.
   sink_ = &cpu_model;
-  for (std::size_t i = 1; i < specs_.size(); ++i) {
-    cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs_[i].opps,
-                                                    cpu::CpuPowerModel(specs_[i].power),
-                                                    specs_[i].transition_latency));
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs[i].opps,
+                                                    cpu::CpuPowerModel(specs[i].power),
+                                                    specs[i].transition_latency));
     cpu::CpuModel& model = *cpus_[i];
-    if (cpuidle_strategy != cpu::CpuidleStrategy::kShallowOnly) {
-      cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(cpuidle_params, cpuidle_strategy));
+    if (prof.cpuidle != cpu::CpuidleStrategy::kShallowOnly) {
+      cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(prof.cpuidle_params, prof.cpuidle));
       model.set_cpuidle(cpuidles_.back().get());
     }
     policies_.push_back(std::make_unique<cpu::CpufreqPolicy>(
@@ -207,17 +176,17 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     }
   }
 
-  if (specs_.size() > 1) {
+  if (specs.size() > 1) {
     std::vector<sched::ClusterRouter::ClusterRef> refs;
-    refs.reserve(specs_.size());
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      refs.push_back(sched::ClusterRouter::ClusterRef{cpus_[i].get(), specs_[i].cycle_penalty});
+    refs.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      refs.push_back(sched::ClusterRouter::ClusterRef{cpus_[i].get(), specs[i].cycle_penalty});
     }
     router_ = std::make_unique<sched::ClusterRouter>(std::move(refs));
     sink_ = router_.get();
   }
 
-  radio_ = std::make_unique<net::RadioModel>(simulator_, radio_params);
+  radio_ = std::make_unique<net::RadioModel>(simulator_, prof.radio);
   bandwidth_ = make_bandwidth(config, master_.fork(1));
 
   manifest_ = std::make_unique<video::Manifest>(
@@ -341,7 +310,7 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     // The sensor sits on the primary cluster — the hottest die area — and
     // the throttle acts on its policy, as vendor thermal drivers do.
     thermal_model_ = std::make_unique<thermal::ThermalModel>(simulator_, cpu_model,
-                                                             thermal_params);
+                                                             prof.thermal);
     throttle_ = std::make_unique<thermal::ThermalThrottle>(*thermal_model_, policy,
                                                            config.throttle);
   }
@@ -349,7 +318,7 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
   std::vector<cpu::CpuModel*> metered_cpus;
   for (const auto& c : cpus_) metered_cpus.push_back(c.get());
   meter_ = std::make_unique<energy::DeviceEnergyMeter>(simulator_, metered_cpus, *radio_,
-                                                       display_mw);
+                                                       prof.display_mw);
 
   if (hooks.on_ready) {
     SessionLive live;
@@ -362,7 +331,6 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     live.vafs = vafs_controller_.get();
     live.faults = injector_.get();
     live.thermal = thermal_model_.get();
-    live.cpu_little = cpus_.size() > 1 ? cpus_[1].get() : nullptr;
     live.router = router_.get();
     for (const auto& c : cpus_) live.cpus.push_back(c.get());
     for (const auto& p : policies_) live.policies.push_back(p.get());
@@ -454,19 +422,11 @@ SessionResult SessionInstance::finish() {
     result.throttled_time = throttle_->throttled_time();
     result.throttle_events = throttle_->throttle_events();
   }
-  if (router_) {
-    for (std::size_t i = 1; i < cpus_.size(); ++i) {
-      result.cpu_little_mj += cpus_[i]->energy_mj();
-      result.freq_transitions_little += cpus_[i]->transition_count();
-    }
-    result.decode_frames_big = router_->decode_tasks_on_big();
-    result.decode_frames_little = router_->decode_tasks_on_little();
-    result.decode_migrations = router_->migrations();
-  }
-  result.device = device_name_;
+  if (router_) result.decode_migrations = router_->migrations();
+  result.device = device_->name;
   for (std::size_t i = 0; i < cpus_.size(); ++i) {
     SessionResult::ClusterReport report;
-    report.name = specs_[i].name;
+    report.name = device_->clusters[i].name;
     report.cpu_mj = cpus_[i]->energy_mj();
     report.freq_transitions = cpus_[i]->transition_count();
     report.busy_fraction =

@@ -63,8 +63,7 @@ class SessionInstance {
   sim::Rng master_;
   obs::Tracer* tracer_;
 
-  std::string device_name_;
-  std::vector<device::ClusterSpec> specs_;
+  const device::DeviceProfile* device_ = nullptr;  // config_->profile or its draw
 
   std::vector<std::unique_ptr<cpu::CpuModel>> cpus_;
   std::vector<std::unique_ptr<cpu::CpuidleModel>> cpuidles_;

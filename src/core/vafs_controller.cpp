@@ -69,11 +69,6 @@ void VafsController::enable_clusters(std::vector<std::string> extra_policy_dirs,
   }
 }
 
-void VafsController::enable_big_little(std::string little_policy_dir,
-                                       sched::ClusterRouter* router) {
-  enable_clusters({std::move(little_policy_dir)}, router);
-}
-
 bool VafsController::attach() {
   const auto avail = tree_.read(dir_ + "/scaling_available_frequencies");
   if (!avail.ok()) return false;

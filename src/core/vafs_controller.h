@@ -67,9 +67,6 @@ class VafsController final : public stream::PlayerObserver {
   /// primary cluster otherwise.
   void enable_clusters(std::vector<std::string> extra_policy_dirs, sched::ClusterRouter* router);
 
-  /// Two-cluster convenience, preserved from the big.LITTLE-only era.
-  void enable_big_little(std::string little_policy_dir, sched::ClusterRouter* router);
-
   /// Route decisions through `backend` (not owned, must outlive the
   /// controller) instead of the in-process default. Call before attach():
   /// the stream opens there, once the device geometry is known.
@@ -116,15 +113,11 @@ class VafsController final : public stream::PlayerObserver {
   /// a remote stream answers this with a stats round trip.
   double decode_mape();
   const VafsConfig& config() const { return config_; }
-  bool big_little() const { return router_ != nullptr; }
   /// Clusters under control: 1 single-cluster, router cluster count otherwise.
   std::size_t cluster_count() const { return extra_.size() + 1; }
   /// Last frequency written to cluster `c`'s policy (0 before any write).
   std::uint32_t last_planned_khz(std::size_t c) const {
     return c == 0 ? last_written_khz_ : extra_[c - 1].last_written_khz;
-  }
-  std::uint32_t last_planned_little_khz() const {
-    return extra_.empty() ? 0 : extra_[0].last_written_khz;
   }
 
   // ---- PlayerObserver ----

@@ -20,9 +20,7 @@ ClusterSpec make_cluster(std::string name, std::vector<cpu::Opp> opps,
 }
 
 /// The reference device: one big core, stock power model, 150 µs
-/// transitions. The legacy (profile-less) bring-up takes its big cluster
-/// and display from here, so sessions on this profile are bit-identical
-/// to it at default SessionConfig radio/thermal/cpuidle values.
+/// transitions, LTE. A default-constructed SessionConfig runs on it.
 DeviceProfile make_default() {
   DeviceProfile p;
   p.name = "default";
@@ -96,9 +94,8 @@ DeviceProfile make_flagship() {
   return p;
 }
 
-/// Mid-range big.LITTLE part. This is the profile the big_little=true
-/// compat shim maps to in spirit: the same OPP tables and power split the
-/// legacy two-cluster session used.
+/// Mid-range big.LITTLE part: the reference big core plus a LITTLE
+/// cluster at a 1.7x IPC penalty. F13's big.LITTLE column runs on it.
 DeviceProfile make_midrange() {
   DeviceProfile p;
   p.name = "midrange";

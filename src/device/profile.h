@@ -57,25 +57,19 @@ struct ClusterSpec {
 };
 
 struct DeviceProfile {
-  /// Registry key ("default", "flagship", ...). A default-constructed
-  /// profile has no clusters and means "the legacy SessionConfig device":
-  /// run_session then takes the "default" profile's big cluster and
-  /// display, and the SessionConfig's radio, thermal, cpuidle and
-  /// big_little fields, byte-identical to the pre-refactor bring-up.
+  /// Registry key ("default", "flagship", ...).
   std::string name = "default";
-  /// Descending capacity; clusters[0] is primary (policy0). Empty = legacy.
+  /// Descending capacity; clusters[0] is primary (policy0). A session
+  /// refuses a profile without clusters.
   std::vector<ClusterSpec> clusters;
 
-  // Device-level session defaults. For named profiles these are
-  // authoritative in run_session; the legacy path reads display_mw from
-  // the "default" profile and the rest from the SessionConfig.
+  // Device-level fields; run_session takes every one of them from here.
   double display_mw = 450.0;
   net::RadioParams radio = net::RadioParams::lte();
   thermal::ThermalParams thermal;
   cpu::CpuidleStrategy cpuidle = cpu::CpuidleStrategy::kShallowOnly;
   cpu::CpuidleParams cpuidle_params = cpu::CpuidleParams::mobile();
 
-  bool legacy() const { return clusters.empty(); }
   std::size_t cluster_count() const { return clusters.size(); }
 };
 

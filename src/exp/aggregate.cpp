@@ -34,10 +34,21 @@ void Aggregate::session_values(const core::SessionResult& r, double* out) {
   out[i++] = r.mean_temp_c;
   out[i++] = r.throttled_time.as_seconds_f();
   out[i++] = static_cast<double>(r.throttle_events);
-  out[i++] = r.cpu_little_mj;
-  out[i++] = static_cast<double>(r.freq_transitions_little);
-  out[i++] = static_cast<double>(r.decode_frames_big);
-  out[i++] = static_cast<double>(r.decode_frames_little);
+  // The big/little split of a multi-cluster session: cluster 0 (the
+  // primary, by the registry's descending-capacity order) against the sum
+  // of the rest, which is 0 on a single-cluster device.
+  double little_mj = 0.0;
+  std::uint64_t little_transitions = 0;
+  std::uint64_t little_frames = 0;
+  for (std::size_t c = 1; c < r.clusters.size(); ++c) {
+    little_mj += r.clusters[c].cpu_mj;
+    little_transitions += r.clusters[c].freq_transitions;
+    little_frames += r.clusters[c].decode_frames;
+  }
+  out[i++] = little_mj;
+  out[i++] = static_cast<double>(little_transitions);
+  out[i++] = static_cast<double>(r.clusters.empty() ? 0 : r.clusters[0].decode_frames);
+  out[i++] = static_cast<double>(little_frames);
   out[i++] = static_cast<double>(r.decode_migrations);
   out[i++] = static_cast<double>(r.qoe.fetch_retries);
   out[i++] = static_cast<double>(r.qoe.fetch_failures);

@@ -46,10 +46,10 @@ struct BenchOptions {
   /// Peak-RSS budget for the whole run; bench_fleet fails when exceeded
   /// (0 = report only).
   std::uint64_t rss_limit_mb = 0;
-  /// Device-population mix for the sweep: "none" (the legacy fixed
-  /// device) or a registered device::PopulationMix name ("global",
-  /// "premium", "budget"). Each session then draws its device profile
-  /// from the mix by a pure hash of its seed.
+  /// Device-population mix for the sweep: "none" (the default profile) or
+  /// a registered device::PopulationMix name ("global", "premium",
+  /// "budget"). Each session then draws its device profile from the mix
+  /// by a pure hash of its seed.
   std::string mix = "none";
   /// Decision serving mode: "" = in-process decisions (default), "auto" =
   /// start an in-process serve::Server on a private socket and route every

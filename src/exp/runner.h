@@ -29,7 +29,7 @@ struct RunOptions {
   /// One session per scenario per seed, aggregated in this order.
   std::vector<std::uint64_t> seeds = {101, 202, 303};
 
-  /// Optional probe factory (e.g. timeline recorders). Called once per
+  /// Optional probe factory (e.g. per-task tracers). Called once per
   /// task *before* execution starts, from the calling thread; the hooks it
   /// returns fire on the worker running that task, so any state they
   /// capture must not be shared across tasks.

@@ -57,11 +57,11 @@ std::size_t TraceBandwidth::locate(sim::SimTime now, sim::SimTime* remaining) co
   if (loop_ && duration_ > sim::SimTime::zero()) {
     t = sim::SimTime(now.as_micros() % duration_.as_micros());
   }
-  // Find the last step at or before t.
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    if (steps_[i].at <= t) idx = i;
-  }
+  // The last step at or before t (binary search: the steps are sorted).
+  const auto after = std::upper_bound(steps_.begin(), steps_.end(), t,
+                                      [](sim::SimTime at, const Step& s) { return at < s.at; });
+  const std::size_t idx =
+      after == steps_.begin() ? 0 : static_cast<std::size_t>(after - steps_.begin()) - 1;
   const sim::SimTime seg_end = (idx + 1 < steps_.size()) ? steps_[idx + 1].at : duration_;
   *remaining = seg_end - t;
   return idx;

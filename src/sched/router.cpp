@@ -17,10 +17,6 @@ ClusterRouter::ClusterRouter(std::vector<ClusterRef> clusters)
   decode_cluster_ = primary_cluster_;
 }
 
-ClusterRouter::ClusterRouter(cpu::CpuModel& big, cpu::CpuModel& little,
-                             double little_cycle_penalty)
-    : ClusterRouter(std::vector<ClusterRef>{{&big, 1.0}, {&little, little_cycle_penalty}}) {}
-
 double ClusterRouter::capacity_khz(std::size_t i) const {
   return static_cast<double>(clusters_[i].cpu->opps().max().freq_khz) /
          clusters_[i].cycle_penalty;
@@ -50,14 +46,6 @@ void ClusterRouter::set_decode_cluster(std::size_t i) {
   if (i == decode_cluster_) return;
   decode_cluster_ = i;
   ++migrations_;
-}
-
-std::uint64_t ClusterRouter::decode_tasks_on_little() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < decode_counts_.size(); ++i) {
-    if (i != primary_cluster_) total += decode_counts_[i];
-  }
-  return total;
 }
 
 }  // namespace vafs::sched

@@ -40,9 +40,6 @@ class ClusterRouter final : public cpu::CpuSink {
   /// goes to the lowest-capacity one (ties: the earliest such cluster).
   explicit ClusterRouter(std::vector<ClusterRef> clusters);
 
-  /// Two-cluster convenience (the big.LITTLE shape): big has penalty 1.
-  ClusterRouter(cpu::CpuModel& big, cpu::CpuModel& little, double little_cycle_penalty = 1.7);
-
   /// Routes by task class: "decode" tasks to the decode cluster, all
   /// network/other tasks to the network cluster; cycles are inflated by
   /// the target cluster's penalty. The returned id is cluster-namespaced.
@@ -67,11 +64,6 @@ class ClusterRouter final : public cpu::CpuSink {
 
   std::uint64_t decode_tasks_on(std::size_t i) const { return decode_counts_[i]; }
   std::uint64_t migrations() const { return migrations_; }
-
-  // Flattened big.LITTLE-era views (primary vs everything else), kept so
-  // the existing result plumbing and bench tables stay source-compatible.
-  std::uint64_t decode_tasks_on_big() const { return decode_counts_[primary_cluster_]; }
-  std::uint64_t decode_tasks_on_little() const;
 
  private:
   static constexpr std::uint64_t kClusterShift = 56;

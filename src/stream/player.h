@@ -69,7 +69,7 @@ struct PlayerConfig {
   sim::SimTime fetch_retry_delay = sim::SimTime::millis(250);
 };
 
-/// Observer hooks — the interface the VAFS governor (and trace recorders)
+/// Observer hooks — the interface the VAFS governor and test probes
 /// subscribe to. All callbacks fire synchronously inside player events.
 class PlayerObserver {
  public:

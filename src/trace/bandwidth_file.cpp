@@ -37,9 +37,10 @@ bool load_bandwidth_trace(std::istream& in, std::vector<net::TraceBandwidth::Ste
     if (fields >> extra) return fail("trailing garbage '" + extra + "'");
     if (mbps < 0) return fail("negative bandwidth");
     if (t_s < 0) return fail("negative time");
-    // 2^63 µs is the first time SimTime cannot hold: refuse it before the
-    // conversion, which would otherwise overflow.
-    if (t_s * 1e6 >= 0x1p63) return fail("time out of range");
+    // Refused before the conversion, which overflows at 2^63 µs. The bound
+    // is 2^62 µs because TraceBandwidth's loop period runs one more step
+    // past the last time, up to twice it, and must still fit SimTime.
+    if (t_s * 1e6 >= 0x1p62) return fail("time out of range");
 
     const sim::SimTime at = sim::SimTime::seconds_f(t_s);
     if (steps->empty()) {

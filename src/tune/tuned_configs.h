@@ -21,7 +21,7 @@ namespace vafs::tune {
 /// stale artifact fails loudly instead of silently half-applying).
 struct TunedCell {
   std::string cell;      // "flagship/fair"
-  std::string profile;   // registry name; "default" = the legacy device
+  std::string profile;   // registry name, e.g. "default"
   std::string net;       // "fair", "poor", ...
   std::string governor;  // the governor the cell was tuned for
   bool feasible = false;
@@ -53,7 +53,7 @@ class TunedConfigs {
   bool empty() const { return cells_.empty(); }
 
   /// The cell tuned for (profile, net); nullptr when the artifact has
-  /// none. `profile` "" and "default" both mean the legacy device.
+  /// none. `profile` "" and "default" both mean the default profile.
   const TunedCell* find(std::string_view profile, std::string_view net) const;
 
  private:

@@ -55,8 +55,8 @@ struct Constraints {
 };
 
 /// One tuning cell: the device/network/governor context a config is tuned
-/// for. `profile` is a device-registry name ("" = the legacy default
-/// device); `net_label` names the network class in artifacts.
+/// for. `profile` is a device-registry name ("" = the default profile);
+/// `net_label` names the network class in artifacts.
 struct TuneContext {
   std::string name;  // "flagship/fair" — artifact key and round-tag stem
   std::string profile;

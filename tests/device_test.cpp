@@ -1,9 +1,10 @@
 // Device-profile library tests: registry invariants every profile must
 // hold (sane OPP ladders, positive power coefficients, descending cluster
 // capacities), the compatibility contracts of the profile-driven session
-// bring-up (profile "default" and the big_little shim are bit-identical
-// to the legacy paths, pinned by trace digest), and the determinism of
-// weighted population draws (a pure function of the session seed).
+// bring-up (a default config and profile "midrange" replay the traces of
+// the pre-profile single-core and big.LITTLE devices, pinned by trace
+// digest), and the determinism of weighted population draws (a pure
+// function of the session seed).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,7 +29,7 @@ TEST(ProfileRegistry, ListsDefaultFirstAndResolvesEveryName) {
   for (const auto& name : names) {
     const DeviceProfile& p = profile(name);
     EXPECT_EQ(p.name, name);
-    EXPECT_FALSE(p.legacy()) << name << " must carry explicit clusters";
+    EXPECT_FALSE(p.clusters.empty()) << name << " must carry explicit clusters";
   }
 }
 
@@ -85,7 +86,7 @@ TEST(ProfileRegistry, ClustersAreOrderedByStrictlyDescendingCapacity) {
   }
 }
 
-// ------------------------------------------------------- legacy bit-identity
+// ------------------------------------------------------- pinned bit-identity
 
 core::SessionConfig base_config(const std::string& governor) {
   core::SessionConfig config;
@@ -115,25 +116,35 @@ DigestRun run_digest(const core::SessionConfig& config) {
 }
 
 TEST(ProfileCompat, DefaultProfileReplaysTheLegacySingleCoreBitIdentically) {
-  // profile("default") must be the *same device* as a default-constructed
-  // SessionConfig (the legacy scalar path), event for event.
-  for (const char* governor : {"ondemand", "vafs"}) {
-    const DigestRun legacy = run_digest(base_config(governor));
-    core::SessionConfig profiled = base_config(governor);
-    profiled.profile = profile("default");
-    const DigestRun named = run_digest(profiled);
-    EXPECT_EQ(named.digest, legacy.digest) << governor;
-    EXPECT_EQ(named.events, legacy.events) << governor;
-    EXPECT_EQ(named.result.device, "default");
-    ASSERT_EQ(named.result.clusters.size(), 1u);
-    EXPECT_EQ(named.result.clusters[0].name, "big");
+  // A default-constructed SessionConfig runs on profile("default"). These
+  // digests were captured on the scalar single-core bring-up that the
+  // profile replaced; the default device must keep replaying them event
+  // for event.
+  struct Pinned {
+    const char* governor;
+    std::uint64_t digest;
+    std::uint64_t events;
+  };
+  const Pinned cases[] = {
+      {"ondemand", 0xe8abbf38e2131c1eull, 4107},
+      {"vafs", 0xa2bdf1f0e490f17aull, 1885},
+  };
+  for (const Pinned& c : cases) {
+    const DigestRun run = run_digest(base_config(c.governor));
+    EXPECT_EQ(run.digest, c.digest) << c.governor;
+    EXPECT_EQ(run.events, c.events) << c.governor;
+    EXPECT_EQ(run.result.device, "default");
+    ASSERT_EQ(run.result.clusters.size(), 1u);
+    EXPECT_EQ(run.result.clusters[0].name, "big");
   }
 }
 
 TEST(ProfileCompat, BigLittleShimDigestsArePinnedToThePreRefactorTraces) {
   // The five digests below were captured on the pre-refactor two-model
-  // code path (commit before src/device existed). The big_little=true
-  // shim must keep replaying those exact event streams.
+  // code path (commit before src/device existed). Profile "midrange" is
+  // that device (the same big core plus a 1.7x-penalty LITTLE cluster) and
+  // must keep replaying those exact event streams; only its panel, which
+  // reaches the meter and no event, differs.
   struct Pinned {
     const char* governor;
     std::uint64_t digest;
@@ -149,21 +160,21 @@ TEST(ProfileCompat, BigLittleShimDigestsArePinnedToThePreRefactorTraces) {
   };
   for (const Pinned& c : cases) {
     core::SessionConfig config = base_config(c.governor);
-    config.big_little = true;
+    config.profile = profile("midrange");
     const DigestRun run = run_digest(config);
     EXPECT_EQ(run.digest, c.digest) << c.governor;
     EXPECT_EQ(run.events, c.events) << c.governor;
-    EXPECT_EQ(run.result.decode_frames_big, c.frames_big) << c.governor;
-    EXPECT_EQ(run.result.decode_frames_little, c.frames_little) << c.governor;
     ASSERT_EQ(run.result.clusters.size(), 2u) << c.governor;
     EXPECT_EQ(run.result.clusters[0].name, "big");
     EXPECT_EQ(run.result.clusters[1].name, "little");
+    EXPECT_EQ(run.result.clusters[0].decode_frames, c.frames_big) << c.governor;
+    EXPECT_EQ(run.result.clusters[1].decode_frames, c.frames_little) << c.governor;
   }
 
-  // A lossy 1080p run through the shim: ABR, rebuffers and retries on top.
+  // A lossy 1080p run on it: ABR, rebuffers and retries on top.
   core::SessionConfig lossy;
   lossy.governor = "vafs";
-  lossy.big_little = true;
+  lossy.profile = profile("midrange");
   lossy.fixed_rep = 3;
   lossy.media_duration = sim::SimTime::seconds(20);
   lossy.net = core::NetProfile::kPoor;
@@ -172,8 +183,9 @@ TEST(ProfileCompat, BigLittleShimDigestsArePinnedToThePreRefactorTraces) {
   const DigestRun run = run_digest(lossy);
   EXPECT_EQ(run.digest, 0xcb97d2adce731613ull);
   EXPECT_EQ(run.events, 1898u);
-  EXPECT_EQ(run.result.decode_frames_big, 5u);
-  EXPECT_EQ(run.result.decode_frames_little, 595u);
+  ASSERT_EQ(run.result.clusters.size(), 2u);
+  EXPECT_EQ(run.result.clusters[0].decode_frames, 5u);
+  EXPECT_EQ(run.result.clusters[1].decode_frames, 595u);
 }
 
 // ------------------------------------------------------- profile sessions
@@ -194,13 +206,16 @@ TEST(ProfileSession, EveryRegisteredProfileStreamsToCompletion) {
       cluster_mj += c.cpu_mj;
       transitions += c.freq_transitions;
     }
-    // Per-cluster energy covers the flattened totals (bring-up energy
+    // Per-cluster energy covers the meter's CPU total (bring-up energy
     // before the session-start meter reset makes the sum a hair larger).
     EXPECT_GE(cluster_mj, run.result.energy.cpu_mj) << name;
     EXPECT_NEAR(cluster_mj, run.result.energy.cpu_mj, 1.0) << name;
-    EXPECT_EQ(transitions,
-              run.result.freq_transitions + run.result.freq_transitions_little)
-        << name;
+    // The single-core metrics are the primary cluster's.
+    const auto& primary = run.result.clusters[0];
+    EXPECT_EQ(primary.freq_transitions, run.result.freq_transitions) << name;
+    EXPECT_EQ(primary.residency, run.result.residency) << name;
+    EXPECT_EQ(primary.busy_fraction, run.result.busy_fraction) << name;
+    EXPECT_GE(transitions, run.result.freq_transitions) << name;
   }
 }
 
@@ -212,10 +227,11 @@ TEST(ProfileSession, FlagshipVafsParksDecodeOffThePrimeCluster) {
   ASSERT_EQ(run.result.clusters.size(), 3u);
   // Steady 720p decode fits an efficient cluster; the prime core should
   // see almost none of it.
-  EXPECT_GT(run.result.decode_frames_little, run.result.decode_frames_big);
-  std::uint64_t per_cluster = 0;
-  for (const auto& c : run.result.clusters) per_cluster += c.decode_frames;
-  EXPECT_EQ(per_cluster, run.result.decode_frames_big + run.result.decode_frames_little);
+  const std::uint64_t on_prime = run.result.clusters[0].decode_frames;
+  const std::uint64_t elsewhere =
+      run.result.clusters[1].decode_frames + run.result.clusters[2].decode_frames;
+  EXPECT_GT(elsewhere, on_prime);
+  EXPECT_GE(on_prime + elsewhere, run.result.qoe.frames_presented);
 }
 
 // ----------------------------------------------------------- population
@@ -272,15 +288,21 @@ TEST(PopulationMix, SessionsDrawTheirDeviceFromTheMixPerSeed) {
   EXPECT_FALSE(drawn.empty());
 }
 
-TEST(PopulationMix, EmptyMixAndLegacyProfileKeepTheScalarDevicePath) {
-  // Default-constructed config: no profile, no mix — the session reports
-  // the legacy device shape (one "big" cluster, no device name).
+TEST(PopulationMix, EmptyMixRunsTheConfiguredProfile) {
+  // Default-constructed config: the "default" profile and no mix — the
+  // session reports that device (one "big" cluster).
+  const core::SessionConfig defaults;
+  EXPECT_EQ(defaults.profile.name, "default");
+  EXPECT_TRUE(defaults.population.empty());
   const DigestRun run = run_digest(base_config("ondemand"));
-  EXPECT_TRUE(run.result.device.empty());
+  EXPECT_EQ(run.result.device, "default");
   ASSERT_EQ(run.result.clusters.size(), 1u);
   EXPECT_EQ(run.result.clusters[0].name, "big");
-  EXPECT_TRUE(core::SessionConfig{}.profile.legacy());
-  EXPECT_TRUE(core::SessionConfig{}.population.empty());
+
+  // Any other configured profile runs as set.
+  core::SessionConfig config = base_config("ondemand");
+  config.profile = profile("handheld");
+  EXPECT_EQ(run_digest(config).result.device, "handheld");
 }
 
 }  // namespace

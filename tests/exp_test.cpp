@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session_instance.h"
@@ -288,6 +289,53 @@ TEST(Aggregate, MetricTableCoversKnownFields) {
   const auto& metrics = Aggregate::metrics();
   EXPECT_EQ(metrics.size(), 35u);
   EXPECT_STREQ(metrics.front().name, "cpu_mj");
+}
+
+TEST(Aggregate, DerivesTheBigLittleMetricsFromClusters) {
+  // The four big/little metrics come from the per-cluster reports: cluster
+  // 0 against the sum of clusters 1..n-1, added in order from 0.
+  const auto value_of = [](const double* values, std::string_view metric) {
+    const auto& metrics = Aggregate::metrics();
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+      if (metric == metrics[i].name) return values[i];
+    }
+    ADD_FAILURE() << "no metric " << metric;
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  for (const char* name : {"default", "midrange", "flagship"}) {
+    SCOPED_TRACE(name);
+    core::SessionConfig config = small_config();
+    config.governor = "vafs";
+    config.profile = device::profile(name);
+    const core::SessionResult r = core::run_session(config);
+    ASSERT_TRUE(r.finished);
+    ASSERT_EQ(r.clusters.size(), device::profile(name).cluster_count());
+
+    double little_mj = 0.0;
+    std::uint64_t little_transitions = 0;
+    std::uint64_t little_frames = 0;
+    for (std::size_t c = 1; c < r.clusters.size(); ++c) {
+      little_mj += r.clusters[c].cpu_mj;
+      little_transitions += r.clusters[c].freq_transitions;
+      little_frames += r.clusters[c].decode_frames;
+    }
+    double values[kMetricCount];
+    Aggregate::session_values(r, values);
+    EXPECT_EQ(value_of(values, "cpu_little_mj"), little_mj);
+    EXPECT_EQ(value_of(values, "transitions_little"), static_cast<double>(little_transitions));
+    EXPECT_EQ(value_of(values, "decode_frames_big"),
+              static_cast<double>(r.clusters[0].decode_frames));
+    EXPECT_EQ(value_of(values, "decode_frames_little"), static_cast<double>(little_frames));
+    if (r.clusters.size() == 1) {
+      // No router: no little side and no decode count.
+      EXPECT_EQ(little_mj, 0.0);
+      EXPECT_EQ(r.clusters[0].decode_frames, 0u);
+    } else {
+      // VAFS parks 720p decode off the primary cluster on both devices.
+      EXPECT_GT(little_mj, 0.0);
+      EXPECT_GT(little_frames, r.clusters[0].decode_frames);
+    }
+  }
 }
 
 TEST(Options, ParsesAllFlags) {

@@ -155,9 +155,9 @@ TEST_P(SessionFuzz, RandomConfigurationsSatisfyInvariants) {
   config.net = static_cast<core::NetProfile>(rng.uniform_int(0, 3));  // poor..excellent
   config.media_duration = sim::SimTime::seconds(rng.uniform_int(12, 60));
   config.segment_duration = sim::SimTime::seconds(rng.uniform_int(2, 6));
-  config.big_little = rng.bernoulli(0.4);
+  if (rng.bernoulli(0.4)) config.profile = device::profile("midrange");
   config.thermal_enabled = rng.bernoulli(0.3);
-  config.cpuidle = static_cast<cpu::CpuidleStrategy>(rng.uniform_int(0, 2));
+  config.profile.cpuidle = static_cast<cpu::CpuidleStrategy>(rng.uniform_int(0, 2));
   config.player.live = rng.bernoulli(0.25);
   if (config.player.live) {
     config.player.startup_buffer = config.segment_duration;
@@ -190,10 +190,16 @@ TEST_P(SessionFuzz, RandomConfigurationsSatisfyInvariants) {
   // decoded on one of the clusters; when frames are dropped the session
   // can end with the decode pipeline trailing the playhead, so the decode
   // count may fall short of the frame total but never exceed it.
-  if (config.big_little) {
-    EXPECT_GE(r.decode_frames_big + r.decode_frames_little, r.qoe.frames_presented);
-    EXPECT_LE(r.decode_frames_big + r.decode_frames_little, total);
-    EXPECT_LE(r.cpu_little_mj, r.energy.cpu_mj);
+  if (r.clusters.size() > 1) {
+    std::uint64_t decoded = 0;
+    double little_mj = 0.0;
+    for (std::size_t c = 0; c < r.clusters.size(); ++c) {
+      decoded += r.clusters[c].decode_frames;
+      if (c > 0) little_mj += r.clusters[c].cpu_mj;
+    }
+    EXPECT_GE(decoded, r.qoe.frames_presented);
+    EXPECT_LE(decoded, total);
+    EXPECT_LE(little_mj, r.energy.cpu_mj);
   }
 }
 

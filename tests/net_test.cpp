@@ -3,6 +3,7 @@
 // byte-arrival / CPU-charging behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "net/bandwidth.h"
 #include "net/downloader.h"
 #include "net/radio.h"
+#include "simcore/rng.h"
 #include "simcore/simulator.h"
 
 namespace vafs::net {
@@ -92,6 +94,81 @@ TEST(TraceBandwidth, LoopingWrapsAround) {
   EXPECT_EQ(bw.current_mbps(sim::SimTime::seconds(3)), 5.0);
   EXPECT_EQ(bw.current_mbps(sim::SimTime::seconds(23)), 5.0);
   EXPECT_EQ(bw.current_mbps(sim::SimTime::seconds(33)), 1.0);
+}
+
+/// current_mbps and next_change at `now`, recomputed by scanning every
+/// step: the reference TraceBandwidth's binary search must match.
+std::pair<double, sim::SimTime> scan_trace(const std::vector<TraceBandwidth::Step>& steps,
+                                           bool loop, sim::SimTime now) {
+  const sim::SimTime last = steps.back().at;
+  if (!loop && now >= last) return {steps.back().mbps, sim::SimTime::max()};
+  // Loop period: one more step-length past the last change point.
+  const sim::SimTime period = last + (last - steps[steps.size() - 2].at);
+  const sim::SimTime t = loop ? sim::SimTime(now.as_micros() % period.as_micros()) : now;
+  std::size_t idx = 0;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (steps[i].at <= t) idx = i;
+  }
+  const sim::SimTime end = idx + 1 < steps.size() ? steps[idx + 1].at : period;
+  sim::SimTime remaining = end - t;
+  if (remaining <= sim::SimTime::zero()) remaining = sim::SimTime::micros(1);
+  return {steps[idx].mbps, now + remaining};
+}
+
+TEST(TraceBandwidth, MatchesALinearScanAtEveryStepEdge) {
+  // Irregular gaps from 1 µs to 3 s, so the ±1 µs probes also land on
+  // neighbouring steps.
+  sim::Rng rng(31);
+  std::vector<TraceBandwidth::Step> steps = {{sim::SimTime::zero(), 4.0}};
+  for (int i = 1; i < 64; ++i) {
+    const std::int64_t gap = i % 9 == 0 ? 1 : rng.uniform_int(1, 3'000'000);
+    steps.push_back({steps.back().at + sim::SimTime::micros(gap), rng.uniform(0.1, 40.0)});
+  }
+  const sim::SimTime last = steps.back().at;
+  const sim::SimTime period = last + (last - steps[steps.size() - 2].at);
+  for (const bool loop : {false, true}) {
+    SCOPED_TRACE(loop ? "looping" : "not looping");
+    TraceBandwidth bw(steps, loop);
+    for (std::int64_t lap = 0; lap < 3; ++lap) {
+      for (const auto& step : steps) {
+        for (const std::int64_t delta : {-1, 0, 1}) {
+          const std::int64_t us = lap * period.as_micros() + step.at.as_micros() + delta;
+          if (us < 0) continue;
+          const sim::SimTime now = sim::SimTime::micros(us);
+          const auto [mbps, next] = scan_trace(steps, loop, now);
+          EXPECT_EQ(bw.current_mbps(now), mbps) << "t=" << us;
+          EXPECT_EQ(bw.next_change(now), next) << "t=" << us;
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceBandwidth, LongTraceReplaysStepByStep) {
+  // 200,000 steps of 1 ms, walked change by change through two loop
+  // periods. Each call must not scan the whole trace: at O(steps) per call
+  // this replay takes minutes, and ctest's TIMEOUT on this binary fails it.
+  constexpr std::int64_t kSteps = 200'000;
+  std::vector<TraceBandwidth::Step> steps;
+  steps.reserve(kSteps);
+  for (std::int64_t i = 0; i < kSteps; ++i) {
+    steps.push_back({sim::SimTime::millis(i), 1.0 + static_cast<double>(i % 7)});
+  }
+  TraceBandwidth bw(steps, /*loop=*/true);
+  const sim::SimTime end = sim::SimTime::millis(2 * kSteps);  // two loop periods
+  sim::SimTime t = sim::SimTime::zero();
+  std::int64_t changes = 0;
+  std::int64_t mismatches = 0;
+  while (t < end) {
+    if (bw.current_mbps(t) != steps[static_cast<std::size_t>(changes % kSteps)].mbps) {
+      ++mismatches;
+    }
+    t = bw.next_change(t);
+    ++changes;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(changes, 2 * kSteps);
+  EXPECT_EQ(t, end);
 }
 
 // ------------------------------------------------------------------ radio

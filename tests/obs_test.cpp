@@ -276,6 +276,41 @@ TEST(SpanNesting, WellFormedUnderFuzzedFaultPlans) {
 }
 
 // ---------------------------------------------------------------------------
+// The CPU power series integrates to the metered energy.
+
+TEST(CpuPowerSeries, IntegratesToThePrimaryClusterEnergy) {
+  // Each kCpuPowerMw sample is the mean power of one constant-frequency
+  // stretch, stamped at its start; the last stretch runs to the session's
+  // end. Power × duration, summed, must give back the cluster's energy.
+  for (const char* governor : {"ondemand", "schedutil", "vafs", "performance"}) {
+    SCOPED_TRACE(governor);
+    core::SessionConfig config;
+    config.governor = governor;
+    config.media_duration = sim::SimTime::seconds(20);
+    config.net = core::NetProfile::kConstant;
+    config.constant_mbps = 12.0;
+    config.seed = 5;
+
+    obs::Tracer tracer;  // full ring: keeps the timeline
+    core::SessionHooks hooks;
+    hooks.tracer = &tracer;
+    const core::SessionResult r = core::run_session(config, hooks);
+    ASSERT_TRUE(r.finished);
+
+    const auto& samples = tracer.timeline().at(obs::SeriesId::kCpuPowerMw).samples();
+    ASSERT_FALSE(samples.empty());
+    double mj = 0.0;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const std::int64_t end_us =
+          i + 1 < samples.size() ? samples[i + 1].t_us : r.wall.as_micros();
+      ASSERT_GE(end_us, samples[i].t_us);
+      mj += samples[i].value * static_cast<double>(end_us - samples[i].t_us) * 1e-6;
+    }
+    EXPECT_NEAR(mj, r.clusters[0].cpu_mj, 0.1);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Digest-only mode and hex round-tripping.
 
 TEST(TraceDigest, DigestOnlyModeMatchesFullRing) {
