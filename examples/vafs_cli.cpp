@@ -18,7 +18,7 @@
 #include <string>
 
 #include "core/session.h"
-#include "fleet/textio.h"
+#include "simcore/parse.h"
 #include "trace/bandwidth_file.h"
 
 namespace {
@@ -67,7 +67,7 @@ const char* next_arg(int argc, char** argv, int* i, const char* flag) {
 /// `text` parsed in full as a decimal integer; usage error otherwise.
 std::uint64_t parse_uint(const char* argv0, const char* flag, const char* text) {
   std::uint64_t value = 0;
-  if (!fleet::parse_u64(text, &value)) bad_value(argv0, flag, text, "a non-negative integer");
+  if (!sim::parse_u64(text, &value)) bad_value(argv0, flag, text, "a non-negative integer");
   return value;
 }
 

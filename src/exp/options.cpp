@@ -1,9 +1,10 @@
 #include "exp/options.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+
+#include "simcore/parse.h"
 
 namespace vafs::exp {
 
@@ -29,12 +30,6 @@ std::vector<std::uint64_t> BenchOptions::fleet_seeds() const {
 
 namespace {
 
-bool parse_u64(std::string_view s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
 bool parse_rate(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -50,7 +45,7 @@ bool parse_seed_list(std::string_view s, std::vector<std::uint64_t>* out) {
     const std::size_t comma = s.find(',');
     const std::string_view item = s.substr(0, comma);
     std::uint64_t seed = 0;
-    if (!parse_u64(item, &seed)) return false;
+    if (!sim::parse_u64(item, &seed)) return false;
     out->push_back(seed);
     if (comma == std::string_view::npos) break;
     s.remove_prefix(comma + 1);
@@ -94,7 +89,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--jobs" || arg == "-j") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t jobs = 0;
-      if (!parse_u64(value, &jobs) || jobs == 0 || jobs > 4096) {
+      if (!sim::parse_u64(value, &jobs) || jobs == 0 || jobs > 4096) {
         *error = "--jobs wants an integer in [1, 4096], got '" + value + "'";
         return false;
       }
@@ -108,7 +103,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--seed") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t seed = 0;
-      if (!parse_u64(value, &seed)) {
+      if (!sim::parse_u64(value, &seed)) {
         *error = "--seed wants an integer, got '" + value + "'";
         return false;
       }
@@ -128,13 +123,13 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
       options->trace_out = value;
     } else if (arg == "--seed-count") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->seed_count) || options->seed_count == 0) {
+      if (!sim::parse_u64(value, &options->seed_count) || options->seed_count == 0) {
         *error = "--seed-count wants a positive integer, got '" + value + "'";
         return false;
       }
     } else if (arg == "--shards") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->shards) || options->shards == 0) {
+      if (!sim::parse_u64(value, &options->shards) || options->shards == 0) {
         *error = "--shards wants a positive integer, got '" + value + "'";
         return false;
       }
@@ -152,7 +147,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
       options->spool = value;
     } else if (arg == "--rss-limit-mb") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->rss_limit_mb)) {
+      if (!sim::parse_u64(value, &options->rss_limit_mb)) {
         *error = "--rss-limit-mb wants an integer, got '" + value + "'";
         return false;
       }
@@ -176,7 +171,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--supervise") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n == 0 || n > 1024) {
+      if (!sim::parse_u64(value, &n) || n == 0 || n > 1024) {
         *error = "--supervise wants a worker count in [1, 1024], got '" + value + "'";
         return false;
       }
@@ -184,7 +179,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--task-timeout-ms") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t ms = 0;
-      if (!parse_u64(value, &ms)) {
+      if (!sim::parse_u64(value, &ms)) {
         *error = "--task-timeout-ms wants an integer, got '" + value + "'";
         return false;
       }
@@ -192,7 +187,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--task-deadline-ms") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t ms = 0;
-      if (!parse_u64(value, &ms)) {
+      if (!sim::parse_u64(value, &ms)) {
         *error = "--task-deadline-ms wants an integer, got '" + value + "'";
         return false;
       }
@@ -200,7 +195,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--task-retries") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n == 0 || n > 100) {
+      if (!sim::parse_u64(value, &n) || n == 0 || n > 100) {
         *error = "--task-retries wants an integer in [1, 100], got '" + value + "'";
         return false;
       }
@@ -208,7 +203,7 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--heartbeat-ms") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t ms = 0;
-      if (!parse_u64(value, &ms) || ms == 0) {
+      if (!sim::parse_u64(value, &ms) || ms == 0) {
         *error = "--heartbeat-ms wants a positive integer, got '" + value + "'";
         return false;
       }
@@ -216,26 +211,26 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
     } else if (arg == "--heartbeat-timeout-ms") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       std::uint64_t ms = 0;
-      if (!parse_u64(value, &ms)) {
+      if (!sim::parse_u64(value, &ms)) {
         *error = "--heartbeat-timeout-ms wants an integer, got '" + value + "'";
         return false;
       }
       options->heartbeat_timeout_ms = static_cast<std::int64_t>(ms);
     } else if (arg == "--worker-as-limit-mb") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->worker_as_limit_mb)) {
+      if (!sim::parse_u64(value, &options->worker_as_limit_mb)) {
         *error = "--worker-as-limit-mb wants an integer, got '" + value + "'";
         return false;
       }
     } else if (arg == "--worker-rss-limit-mb") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->worker_rss_limit_mb)) {
+      if (!sim::parse_u64(value, &options->worker_rss_limit_mb)) {
         *error = "--worker-rss-limit-mb wants an integer, got '" + value + "'";
         return false;
       }
     } else if (arg == "--chaos-seed") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
-      if (!parse_u64(value, &options->chaos_seed)) {
+      if (!sim::parse_u64(value, &options->chaos_seed)) {
         *error = "--chaos-seed wants an integer, got '" + value + "'";
         return false;
       }

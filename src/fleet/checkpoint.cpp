@@ -6,10 +6,13 @@
 
 #include "fleet/io.h"
 #include "fleet/textio.h"
+#include "simcore/parse.h"
 #include "simcore/stats.h"
 
 namespace vafs::fleet {
 namespace {
+
+using sim::parse_u64;
 
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;

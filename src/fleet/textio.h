@@ -2,17 +2,15 @@
 // manifest, the supervisor wire protocol and the quarantine log: 64-bit
 // hex fields (doubles travel as IEEE-754 bit patterns, so round trips are
 // bit-exact), hex-encoded free-text payloads (keeps formats strictly
-// line-oriented no matter what an error message contains), and strict
-// integer parsing.
+// line-oriented no matter what an error message contains) and field
+// splitting. Integers parse through sim::parse_u64 (simcore/parse.h).
 #pragma once
 
-#include <charconv>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 namespace vafs::fleet {
@@ -74,17 +72,6 @@ inline bool hex_decode(std::string_view hex, std::string* out) {
     if (!nibble(hex[i], &hi) || !nibble(hex[i + 1], &lo)) return false;
     out->push_back(static_cast<char>((hi << 4) | lo));
   }
-  return true;
-}
-
-/// Strict decimal u64: digits only (no sign, space or prefix). A value
-/// above 2^64 - 1 is refused, never wrapped. `*out` is written only on
-/// success.
-inline bool parse_u64(std::string_view s, std::uint64_t* out) {
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || end != s.data() + s.size()) return false;
-  *out = v;
   return true;
 }
 

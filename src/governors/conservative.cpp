@@ -35,16 +35,18 @@ std::vector<cpu::Tunable> ConservativeGovernor::tunables() {
   return {
       {"sampling_rate", [this] { return std::to_string(t_.sampling_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
-         if (us > kMaxTunableUs || us < 1000) return sysfs::Errno::kInval;
+         std::uint64_t us = 0;
+         if (!sim::parse_u64(v, &us) || us > kMaxTunableUs || us < 1000) {
+           return sysfs::Errno::kInval;
+         }
          t_.sampling_rate_us = us;
          rearm();
          return {};
        }},
       {"up_threshold", [this] { return std::to_string(t_.up_threshold); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct <= t_.down_threshold || pct > 100) {
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct <= t_.down_threshold || pct > 100) {
            return sysfs::Errno::kInval;
          }
          t_.up_threshold = static_cast<unsigned>(pct);
@@ -52,15 +54,15 @@ std::vector<cpu::Tunable> ConservativeGovernor::tunables() {
        }},
       {"down_threshold", [this] { return std::to_string(t_.down_threshold); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct >= t_.up_threshold) return sysfs::Errno::kInval;
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct >= t_.up_threshold) return sysfs::Errno::kInval;
          t_.down_threshold = static_cast<unsigned>(pct);
          return {};
        }},
       {"freq_step", [this] { return std::to_string(t_.freq_step_pct); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct == 0 || pct > 100) return sysfs::Errno::kInval;
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct == 0 || pct > 100) return sysfs::Errno::kInval;
          t_.freq_step_pct = static_cast<unsigned>(pct);
          return {};
        }},

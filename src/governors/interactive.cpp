@@ -48,37 +48,39 @@ std::vector<cpu::Tunable> InteractiveGovernor::tunables() {
   return {
       {"timer_rate", [this] { return std::to_string(t_.timer_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
-         if (us > kMaxTunableUs || us < 1000) return sysfs::Errno::kInval;
+         std::uint64_t us = 0;
+         if (!sim::parse_u64(v, &us) || us > kMaxTunableUs || us < 1000) {
+           return sysfs::Errno::kInval;
+         }
          t_.timer_rate_us = us;
          rearm();
          return {};
        }},
       {"hispeed_freq", [this] { return std::to_string(t_.hispeed_freq_khz); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto khz = parse_u64(v);
-         if (khz == UINT64_MAX || khz == 0 || khz > UINT32_MAX) return sysfs::Errno::kInval;
+         std::uint64_t khz = 0;
+         if (!sim::parse_u64(v, &khz) || khz == 0 || khz > UINT32_MAX) return sysfs::Errno::kInval;
          t_.hispeed_freq_khz = static_cast<std::uint32_t>(khz);
          return {};
        }},
       {"go_hispeed_load", [this] { return std::to_string(t_.go_hispeed_load); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct == 0 || pct > 100) return sysfs::Errno::kInval;
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct == 0 || pct > 100) return sysfs::Errno::kInval;
          t_.go_hispeed_load = static_cast<unsigned>(pct);
          return {};
        }},
       {"target_loads", [this] { return std::to_string(t_.target_load); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct == 0 || pct > 100) return sysfs::Errno::kInval;
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct == 0 || pct > 100) return sysfs::Errno::kInval;
          t_.target_load = static_cast<unsigned>(pct);
          return {};
        }},
       {"min_sample_time", [this] { return std::to_string(t_.min_sample_time_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
-         if (us > kMaxTunableUs) return sysfs::Errno::kInval;
+         std::uint64_t us = 0;
+         if (!sim::parse_u64(v, &us) || us > kMaxTunableUs) return sysfs::Errno::kInval;
          t_.min_sample_time_us = us;
          return {};
        }},

@@ -37,30 +37,32 @@ std::vector<cpu::Tunable> OndemandGovernor::tunables() {
   return {
       {"sampling_rate", [this] { return std::to_string(t_.sampling_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
-         if (us > kMaxTunableUs || us < 1000) return sysfs::Errno::kInval;
+         std::uint64_t us = 0;
+         if (!sim::parse_u64(v, &us) || us > kMaxTunableUs || us < 1000) {
+           return sysfs::Errno::kInval;
+         }
          t_.sampling_rate_us = us;
          rearm();
          return {};
        }},
       {"up_threshold", [this] { return std::to_string(t_.up_threshold); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto pct = parse_u64(v);
-         if (pct == UINT64_MAX || pct == 0 || pct > 100) return sysfs::Errno::kInval;
+         std::uint64_t pct = 0;
+         if (!sim::parse_u64(v, &pct) || pct == 0 || pct > 100) return sysfs::Errno::kInval;
          t_.up_threshold = static_cast<unsigned>(pct);
          return {};
        }},
       {"sampling_down_factor", [this] { return std::to_string(t_.sampling_down_factor); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto n = parse_u64(v);
-         if (n == UINT64_MAX || n == 0 || n > 100'000) return sysfs::Errno::kInval;
+         std::uint64_t n = 0;
+         if (!sim::parse_u64(v, &n) || n == 0 || n > 100'000) return sysfs::Errno::kInval;
          t_.sampling_down_factor = static_cast<unsigned>(n);
          return {};
        }},
       {"powersave_bias", [this] { return std::to_string(t_.powersave_bias); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto n = parse_u64(v);
-         if (n == UINT64_MAX || n > 1000) return sysfs::Errno::kInval;
+         std::uint64_t n = 0;
+         if (!sim::parse_u64(v, &n) || n > 1000) return sysfs::Errno::kInval;
          t_.powersave_bias = static_cast<unsigned>(n);
          return {};
        }},

@@ -6,16 +6,6 @@
 
 namespace vafs::governors {
 
-std::uint64_t parse_u64(std::string_view text) {
-  if (text.empty() || text.size() > 19) return UINT64_MAX;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return UINT64_MAX;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
 void SamplingGovernorBase::start(cpu::CpufreqPolicy& policy) {
   policy_ = &policy;
   last_busy_ = policy_->cpu().total_busy_time();

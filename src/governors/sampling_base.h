@@ -7,6 +7,7 @@
 
 #include "cpu/cpufreq_policy.h"
 #include "cpu/governor.h"
+#include "simcore/parse.h"
 #include "simcore/simulator.h"
 
 namespace vafs::governors {
@@ -49,9 +50,6 @@ class SamplingGovernorBase : public cpu::Governor {
   sim::SimTime last_busy_ = sim::SimTime::zero();
   sim::SimTime last_wall_ = sim::SimTime::zero();
 };
-
-/// Parses an unsigned decimal tunable; returns UINT64_MAX on failure.
-std::uint64_t parse_u64(std::string_view text);
 
 /// Largest value a microsecond tunable accepts: the kernel's attributes are
 /// `unsigned int`, and any value that fits one converts to SimTime exactly.

@@ -28,8 +28,8 @@ std::vector<cpu::Tunable> SchedutilGovernor::tunables() {
   return {
       {"rate_limit_us", [this] { return std::to_string(t_.rate_limit_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
-         if (us > kMaxTunableUs) return sysfs::Errno::kInval;
+         std::uint64_t us = 0;
+         if (!sim::parse_u64(v, &us) || us > kMaxTunableUs) return sysfs::Errno::kInval;
          t_.rate_limit_us = us;
          return {};
        }},

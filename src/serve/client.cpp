@@ -32,23 +32,13 @@ bool write_all(int fd, const std::uint8_t* buf, std::size_t len) {
   return true;
 }
 
-bool read_all(int fd, std::uint8_t* buf, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = read(fd, buf + got, len - got);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Room for every reply the daemon sends (the largest, a Decision, is 75
+/// bytes); a longer frame grows the buffer to fit.
+constexpr std::size_t kReplyBufferSize = 256;
 
 }  // namespace
 
-ServeConnection::ServeConnection(const std::string& socket_path) {
+ServeConnection::ServeConnection(const std::string& socket_path) : rx_(kReplyBufferSize) {
   fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_transport("socket() failed");
   sockaddr_un addr{};
@@ -70,78 +60,72 @@ ServeConnection::~ServeConnection() {
   if (fd_ >= 0) close(fd_);
 }
 
-void ServeConnection::send_frame(MsgType type, std::uint64_t stream_id,
-                                 const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  encode_frame(frame, type, stream_id, payload);
-  if (!write_all(fd_, frame.data(), frame.size())) {
-    broken_ = true;
-    throw_transport("connection lost on send");
-  }
+void ServeConnection::fail(const char* what) {
+  broken_ = true;
+  throw_transport(what);
 }
 
-MsgType ServeConnection::round_trip(MsgType type, std::uint64_t stream_id,
-                                    const std::vector<std::uint8_t>& payload,
-                                    std::vector<std::uint8_t>& reply_payload) {
-  send_frame(type, stream_id, payload);
+FrameHeader ServeConnection::round_trip(MsgType type, std::uint64_t stream_id) {
+  tx_.clear();
+  encode_frame(tx_, type, stream_id, payload_);
+  if (!write_all(fd_, tx_.data(), tx_.size())) fail("connection lost on send");
 
-  std::uint8_t header_buf[kWireHeaderSize];
-  if (!read_all(fd_, header_buf, kWireHeaderSize)) {
-    broken_ = true;
-    throw_transport("connection lost awaiting reply");
-  }
+  // Read until the whole reply frame is in; usually the first read brings
+  // all of it.
   FrameHeader header;
-  if (decode_header(header_buf, header) != WireError::kNone) {
-    broken_ = true;
-    throw_transport("malformed reply header");
+  bool have_header = false;
+  std::size_t frame_len = kWireHeaderSize;
+  std::size_t got = 0;
+  while (got < frame_len) {
+    const ssize_t n = read(fd_, rx_.data() + got, rx_.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) fail("connection lost awaiting reply");
+    got += static_cast<std::size_t>(n);
+    if (!have_header && got >= kWireHeaderSize) {
+      if (decode_header(rx_.data(), header) != WireError::kNone) fail("malformed reply header");
+      have_header = true;
+      frame_len += header.payload_len;
+      if (rx_.size() < frame_len) rx_.resize(frame_len);
+    }
   }
-  reply_payload.resize(header.payload_len);
-  if (header.payload_len > 0 &&
-      !read_all(fd_, reply_payload.data(), reply_payload.size())) {
-    broken_ = true;
-    throw_transport("connection lost mid-reply");
+  // One request, one reply: anything after it is not ours to read.
+  if (got > frame_len) fail("unexpected bytes after the reply");
+  if (verify_payload(header, reply_payload(), header.payload_len) != WireError::kNone) {
+    fail("reply checksum mismatch");
   }
-  if (verify_payload(header, reply_payload.data(), reply_payload.size()) !=
-      WireError::kNone) {
-    broken_ = true;
-    throw_transport("reply checksum mismatch");
-  }
-  return header.type;
+  return header;
 }
 
 std::uint64_t ServeConnection::open_stream(const core::DecisionStreamInfo& info) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t id = next_stream_id_++;
-  std::vector<std::uint8_t> payload;
-  encode_stream_info(payload, info);
-  std::vector<std::uint8_t> reply;
-  const MsgType type = round_trip(MsgType::kHello, id, payload, reply);
-  if (type == MsgType::kError) {
+  payload_.clear();
+  encode_stream_info(payload_, info);
+  const FrameHeader reply = round_trip(MsgType::kHello, id);
+  if (reply.type == MsgType::kError) {
     WireError code = WireError::kNone;
-    decode_error(reply.data(), reply.size(), code);
+    decode_error(reply_payload(), reply.payload_len, code);
     throw core::SessionError(std::string("serve: stream rejected: ") + wire_error_name(code));
   }
-  if (type != MsgType::kHelloOk) throw_transport("unexpected reply to hello");
+  if (reply.type != MsgType::kHelloOk) throw_transport("unexpected reply to hello");
   return id;
 }
 
 core::DecisionResponse ServeConnection::decide(std::uint64_t stream_id,
                                                const core::DecisionRequest& req) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint8_t> payload;
-  encode_request(payload, req);
-  std::vector<std::uint8_t> reply;
-  const MsgType type = round_trip(MsgType::kDecide, stream_id, payload, reply);
-  if (type == MsgType::kError) {
+  payload_.clear();
+  encode_request(payload_, req);
+  const FrameHeader reply = round_trip(MsgType::kDecide, stream_id);
+  if (reply.type == MsgType::kError) {
     WireError code = WireError::kNone;
-    decode_error(reply.data(), reply.size(), code);
+    decode_error(reply_payload(), reply.payload_len, code);
     throw core::SessionError(std::string("serve: decide failed: ") + wire_error_name(code));
   }
-  if (type != MsgType::kDecision) throw_transport("unexpected reply to decide");
+  if (reply.type != MsgType::kDecision) throw_transport("unexpected reply to decide");
   core::DecisionResponse resp;
-  if (!decode_response(reply.data(), reply.size(), resp)) {
-    broken_ = true;
-    throw_transport("malformed decision payload");
+  if (!decode_response(reply_payload(), reply.payload_len, resp)) {
+    fail("malformed decision payload");
   }
   return resp;
 }
@@ -149,16 +133,17 @@ core::DecisionResponse ServeConnection::decide(std::uint64_t stream_id,
 void ServeConnection::close_stream(std::uint64_t stream_id) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   if (broken_ || fd_ < 0) return;
-  std::vector<std::uint8_t> frame;
-  encode_frame(frame, MsgType::kClose, stream_id, {});
-  if (!write_all(fd_, frame.data(), frame.size())) broken_ = true;
+  payload_.clear();
+  tx_.clear();
+  encode_frame(tx_, MsgType::kClose, stream_id, payload_);
+  if (!write_all(fd_, tx_.data(), tx_.size())) broken_ = true;
 }
 
 bool ServeConnection::ping() noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   try {
-    std::vector<std::uint8_t> reply;
-    return round_trip(MsgType::kPing, 0, {}, reply) == MsgType::kPong;
+    payload_.clear();
+    return round_trip(MsgType::kPing, 0).type == MsgType::kPong;
   } catch (const core::SessionError&) {
     return false;
   }

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/decision_core.h"
 #include "serve/wire.h"
@@ -47,19 +48,24 @@ class ServeConnection {
   bool broken() const { return broken_; }
 
  private:
-  /// Sends one frame and reads the reply frame (verified). Throws
+  /// Sends `payload_` as one frame, then reads the one reply frame into
+  /// `rx_` and verifies it; its payload is reply_payload(). Throws
   /// core::SessionError on any transport or protocol failure; a kError
   /// reply is returned to the caller for classification.
-  MsgType round_trip(MsgType type, std::uint64_t stream_id,
-                     const std::vector<std::uint8_t>& payload,
-                     std::vector<std::uint8_t>& reply_payload);
-  void send_frame(MsgType type, std::uint64_t stream_id,
-                  const std::vector<std::uint8_t>& payload);
+  FrameHeader round_trip(MsgType type, std::uint64_t stream_id);
+  const std::uint8_t* reply_payload() const { return rx_.data() + kWireHeaderSize; }
+  /// Marks the connection broken and throws core::SessionError.
+  [[noreturn]] void fail(const char* what);
 
   std::mutex mutex_;
   int fd_ = -1;
   bool broken_ = false;
   std::uint64_t next_stream_id_ = 0;
+  // Request payload, request frame and reply frame, reused by every call
+  // under mutex_, so a round trip allocates nothing.
+  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> tx_;
+  std::vector<std::uint8_t> rx_;
 };
 
 /// One remote decision stream (shared connection + id).

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -13,41 +14,10 @@ namespace {
 
 constexpr int kPollMs = 50;       // stop-flag check cadence
 constexpr int kDrainGraceMs = 1000;  // max wait for a mid-frame peer at drain
-
-/// poll()-driven exact read. Returns 1 on success, 0 on orderly close or
-/// drain, -1 on error. Drain semantics: once `stopping` flips, an idle
-/// read (nothing consumed, not `committed` to a frame) gives up at the
-/// next poll tick, while a mid-frame read keeps going so the in-flight
-/// request is finished and answered — bounded by kDrainGraceMs in case
-/// the peer wedged mid-send.
-int read_exact(int fd, std::uint8_t* buf, std::size_t len, const std::atomic<bool>& stopping,
-               bool committed) {
-  std::size_t got = 0;
-  int stopped_ticks = 0;
-  while (got < len) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int pr = poll(&pfd, 1, kPollMs);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (pr == 0) {
-      if (stopping.load(std::memory_order_acquire)) {
-        if (!committed && got == 0) return 0;
-        if (++stopped_ticks * kPollMs >= kDrainGraceMs) return 0;
-      }
-      continue;
-    }
-    const ssize_t n = read(fd, buf + got, len - got);
-    if (n == 0) return 0;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return -1;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return 1;
-}
+/// A connection's first receive buffer: room for dozens of Decide frames.
+/// It grows only for a frame that does not fit, and decode_header bounds a
+/// frame at kWireHeaderSize + kMaxPayload bytes.
+constexpr std::size_t kReceiveBufferSize = 4096;
 
 bool write_all(int fd, const std::uint8_t* buf, std::size_t len) {
   std::size_t sent = 0;
@@ -152,6 +122,15 @@ void Server::accept_loop() {
     if (pr <= 0) continue;
     const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
+    // A connection thread sleeps in read() and wakes every tick to check
+    // the stop flag. Without the timeout it could sleep through stop(), so
+    // a socket that refuses it is closed unserved.
+    const timeval tick{0, kPollMs * 1000};
+    if (setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick)) != 0) {
+      close(fd);
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
 
     std::lock_guard<std::mutex> lock(connections_mutex_);
     // Reap finished connections so a long-lived daemon's registry doesn't
@@ -190,55 +169,81 @@ void Server::accept_loop() {
 
 void Server::serve_connection(Connection& conn) {
   StreamMap streams;
-  std::uint8_t header_buf[kWireHeaderSize];
-  std::vector<std::uint8_t> payload;
+  // Received bytes not yet parsed are rx[begin, end). A frame is verified
+  // and decoded in place once all of it is in, and read() runs only when
+  // the buffer lacks a whole header or a whole payload: one read usually
+  // serves one frame, and frames that arrive together are answered in
+  // order.
+  std::vector<std::uint8_t> rx(kReceiveBufferSize);
+  std::size_t begin = 0;
+  std::size_t end = 0;
   std::vector<std::uint8_t> reply;
+  int stopped_ticks = 0;
 
   for (;;) {
-    // Between frames a drain request closes immediately; inside a frame
-    // (header partially read, or payload pending) it finishes the frame
-    // and answers it first.
-    const int hr = read_exact(conn.fd, header_buf, kWireHeaderSize, stopping_,
-                              /*committed=*/false);
-    if (hr <= 0) break;
-
+    const std::size_t held = end - begin;
     FrameHeader header;
-    const WireError herr = decode_header(header_buf, header);
-    if (herr != WireError::kNone) {
-      // The framing itself is broken — byte boundaries are gone, so no
-      // reply can be framed reliably. Count it and drop the connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(herr));
-      if (herr == WireError::kBadVersion || herr == WireError::kOversized) {
-        // Header structure was intact: tell the peer why before closing.
-        reply.clear();
-        append_error_frame(reply, header.stream_id, herr);
-        write_all(conn.fd, reply.data(), reply.size());
+    std::size_t frame_len = kWireHeaderSize;
+    if (held >= kWireHeaderSize) {
+      const WireError herr = decode_header(rx.data() + begin, header);
+      if (herr != WireError::kNone) {
+        // The framing itself is broken — byte boundaries are gone, so no
+        // reply can be framed reliably. Count it and drop the connection.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(herr));
+        if (herr == WireError::kBadVersion || herr == WireError::kOversized) {
+          // Header structure was intact: tell the peer why before closing.
+          reply.clear();
+          append_error_frame(reply, header.stream_id, herr);
+          write_all(conn.fd, reply.data(), reply.size());
+        }
+        break;
       }
-      break;
+      frame_len += header.payload_len;
     }
 
-    payload.resize(header.payload_len);
-    if (header.payload_len > 0) {
-      const int prr = read_exact(conn.fd, payload.data(), payload.size(), stopping_,
-                                 /*committed=*/true);
-      if (prr <= 0) break;  // truncated frame: peer died mid-send
+    if (held < frame_len) {
+      if (begin > 0) {  // move the partial frame to the front
+        std::memmove(rx.data(), rx.data() + begin, held);
+        begin = 0;
+        end = held;
+      }
+      if (rx.size() < frame_len) rx.resize(frame_len);
+      const ssize_t n = read(conn.fd, rx.data() + end, rx.size() - end);
+      if (n > 0) {
+        end += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n == 0) break;  // peer closed; a partial frame dies with it
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) break;
+      // A receive-timeout tick. Between frames a drain request closes the
+      // connection now; inside a frame it keeps reading, for at most
+      // kDrainGraceMs, so the in-flight request is finished and answered.
+      if (stopping_.load(std::memory_order_acquire) &&
+          (held == 0 || ++stopped_ticks * kPollMs >= kDrainGraceMs)) {
+        break;
+      }
+      continue;
     }
-    const WireError perr = verify_payload(header, payload.data(), payload.size());
+
+    const std::uint8_t* payload = rx.data() + begin + kWireHeaderSize;
+    begin += frame_len;
+    reply.clear();
+    const WireError perr = verify_payload(header, payload, header.payload_len);
     if (perr != WireError::kNone) {
+      // Framing is intact: the connection survives a bad payload.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(perr));
-      reply.clear();
       append_error_frame(reply, header.stream_id, perr);
-      if (!write_all(conn.fd, reply.data(), reply.size())) break;
-      continue;  // framing is intact: the connection survives a bad payload
+    } else if (!handle_frame(conn, streams, header, payload, header.payload_len, reply)) {
+      break;
     }
-
-    reply.clear();
-    if (!handle_frame(conn, streams, header, payload, reply)) break;
     if (!reply.empty() && !write_all(conn.fd, reply.data(), reply.size())) break;
 
-    if (stopping_.load(std::memory_order_acquire)) break;  // drained: answered in-flight
+    // Drained: the in-flight frame is answered; frames buffered behind it
+    // go unanswered.
+    if (stopping_.load(std::memory_order_acquire)) break;
   }
 
   close(conn.fd);
@@ -250,7 +255,7 @@ void Server::serve_connection(Connection& conn) {
 }
 
 bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeader& header,
-                          const std::vector<std::uint8_t>& payload,
+                          const std::uint8_t* payload, std::size_t payload_len,
                           std::vector<std::uint8_t>& reply) {
   switch (header.type) {
     case MsgType::kPing:
@@ -264,7 +269,7 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
         return true;
       }
       core::DecisionStreamInfo info;
-      if (!decode_stream_info(payload.data(), payload.size(), info)) {
+      if (!decode_stream_info(payload, payload_len, info)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         trace(obs::EventKind::kServeError, conn.id,
               static_cast<std::uint64_t>(WireError::kShortPayload));
@@ -292,7 +297,7 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
         return true;
       }
       core::DecisionRequest req;
-      if (!decode_request(payload.data(), payload.size(), req)) {
+      if (!decode_request(payload, payload_len, req)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         append_error_frame(reply, header.stream_id, WireError::kShortPayload);
         return true;
@@ -306,9 +311,9 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
       ++conn.requests;
       trace(obs::EventKind::kServeRequest, header.stream_id, ns / 1000,
             static_cast<std::uint64_t>(req.event));
-      std::vector<std::uint8_t> body;
-      encode_response(body, resp);
-      encode_frame(reply, MsgType::kDecision, header.stream_id, body);
+      conn.body.clear();
+      encode_response(conn.body, resp);
+      encode_frame(reply, MsgType::kDecision, header.stream_id, conn.body);
       return true;
     }
 

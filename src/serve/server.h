@@ -9,10 +9,14 @@
 // bearing property). Shared state is limited to relaxed-atomic counters,
 // the connection registry, and an optional mutex-guarded tracer.
 //
-// Shutdown: stop() (or SIGTERM in vafsd) flips a flag every poll loop
-// watches. Connection threads finish the frame currently in flight —
-// including one mid-read — answer it, then close; the accept thread stops
-// taking new work immediately. stop() joins everything and unlinks the
+// Reads: a connection thread sleeps in read() on a socket whose receive
+// timeout is one stop-flag tick, and one buffered read usually serves one
+// frame; the accept thread polls the listener at the same tick.
+//
+// Shutdown: stop() (or SIGTERM in vafsd) flips a flag every thread checks
+// at least once a tick. Connection threads finish the frame currently in
+// flight — including one mid-read — answer it, then close; the accept
+// thread stops taking new work immediately. stop() joins everything and unlinks the
 // socket, so a drained daemon exits 0 with no request dropped mid-answer.
 //
 // Backpressure: at most `max_connections` live connections. Beyond that
@@ -76,17 +80,20 @@ class Server {
     std::uint64_t id = 0;
     std::thread thread;
     std::atomic<bool> done{false};
-    std::uint64_t requests = 0;  // connection-thread-local until disconnect
+    // Connection-thread-local until disconnect:
+    std::uint64_t requests = 0;
+    std::vector<std::uint8_t> body;  // Decision payload, reused by every request
   };
   /// Connection-scoped stream table: only the owning thread touches it.
   using StreamMap = std::map<std::uint64_t, std::unique_ptr<core::DecisionCore>>;
 
   void accept_loop();
   void serve_connection(Connection& conn);
-  /// One frame: dispatch and build the reply frame(s) into `reply`.
+  /// One verified frame, its payload read in place from the receive
+  /// buffer: dispatch and build the reply frame(s) into `reply`.
   /// Returns false to drop the connection (unanswerable violation).
   bool handle_frame(Connection& conn, StreamMap& streams, const FrameHeader& header,
-                    const std::vector<std::uint8_t>& payload,
+                    const std::uint8_t* payload, std::size_t payload_len,
                     std::vector<std::uint8_t>& reply);
   void trace(obs::EventKind kind, std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0);
   std::int64_t wall_us() const;

@@ -6,16 +6,14 @@
 // requests, prints a JSON stats summary to stdout, and exits 0. Exits 1
 // if the socket cannot be bound, 2 on a usage error (an unknown flag, no
 // --socket, or a --max-connections that is not a whole integer >= 1).
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <string_view>
-#include <system_error>
 #include <thread>
 
 #include "serve/server.h"
+#include "simcore/parse.h"
 
 namespace {
 
@@ -34,10 +32,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-connections" && i + 1 < argc) {
       // Parsed whole and >= 1: a limit of 0 would announce readiness and
       // then refuse every client.
-      const std::string_view value = argv[++i];
-      std::size_t n = 0;
-      const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), n);
-      if (ec != std::errc() || end != value.data() + value.size() || n < 1) {
+      std::uint64_t n = 0;
+      if (!vafs::sim::parse_u64(argv[++i], &n) || n < 1) {
         std::fprintf(stderr, "vafsd: --max-connections must be an integer >= 1, got '%s'\n",
                      argv[i]);
         return 2;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fleet/textio.h"
+#include "simcore/parse.h"
 
 namespace vafs::supervise {
 
@@ -11,8 +12,8 @@ using fleet::append_hex64;
 using fleet::hex_decode;
 using fleet::hex_encode;
 using fleet::parse_hex64;
-using fleet::parse_u64;
 using fleet::split_fields;
+using sim::parse_u64;
 
 void encode_task(std::string* out, std::uint64_t task_index, int attempt) {
   *out += "T " + std::to_string(task_index) + ' ' + std::to_string(attempt) + '\n';

@@ -13,6 +13,7 @@
 #include "fleet/fleet_runner.h"
 #include "fleet/io.h"
 #include "fleet/textio.h"
+#include "simcore/parse.h"
 
 namespace vafs::tune {
 namespace {
@@ -71,7 +72,7 @@ bool parse_candidate(std::string_view text, Candidate* out) {
     const std::size_t colon = text.find(':', start);
     const std::string_view tok = text.substr(start, colon - start);
     std::uint64_t v = 0;
-    if (!fleet::parse_u64(tok, &v) || v > UINT32_MAX) return false;
+    if (!sim::parse_u64(tok, &v) || v > UINT32_MAX) return false;
     out->push_back(static_cast<std::uint32_t>(v));
     if (colon == std::string_view::npos) break;
     start = colon + 1;
@@ -216,7 +217,7 @@ bool parse_state(const std::string& path, StateFile* st, std::string* error) {
     RoundRecord rec;
     rec.tag = f[1];
     std::uint64_t ncand = 0;
-    if (!fleet::parse_u64(f[2], &rec.seeds) || !fleet::parse_u64(f[3], &ncand)) {
+    if (!sim::parse_u64(f[2], &rec.seeds) || !sim::parse_u64(f[3], &ncand)) {
       return fail("bad round line");
     }
     for (std::uint64_t i = 0; i < ncand; ++i) {
@@ -226,7 +227,7 @@ bool parse_state(const std::string& path, StateFile* st, std::string* error) {
       Candidate c;
       if (!parse_candidate(f[1], &c)) return fail("bad candidate line");
       std::uint64_t flags = 0;
-      if (!fleet::parse_u64(f[2], &flags) || flags > 3) return fail("bad candidate line");
+      if (!sim::parse_u64(f[2], &flags) || flags > 3) return fail("bad candidate line");
       Score s;
       s.evaluated = (flags & 1) != 0;
       s.feasible = (flags & 2) != 0;
@@ -239,7 +240,7 @@ bool parse_state(const std::string& path, StateFile* st, std::string* error) {
       }
       std::uint64_t runs = 0;
       std::uint64_t failures = 0;
-      if (!fleet::parse_u64(f[10], &runs) || !fleet::parse_u64(f[11], &failures)) {
+      if (!sim::parse_u64(f[10], &runs) || !sim::parse_u64(f[11], &failures)) {
         return fail("bad candidate line");
       }
       s.runs = static_cast<std::int64_t>(runs);
@@ -371,8 +372,8 @@ struct Driver {
   const TunerOptions& opts;
   Evaluator* eval;
   TuneReport& report;
-  StateFile state;
-  std::string state_path;  // empty = no checkpointing
+  StateFile state{};
+  std::string state_path{};  // empty = no checkpointing
 
   bool keep_going() const { return !opts.keep_going || opts.keep_going(); }
 
@@ -651,7 +652,7 @@ TuneReport run_tuner(const ParamSpace& space, const std::vector<TuneContext>& co
   if (!report.ok()) return report;
 
   FleetEvaluator fleet_eval(opts);
-  Driver drv{space, opts, evaluator != nullptr ? evaluator : &fleet_eval, report, {}, ""};
+  Driver drv{space, opts, evaluator != nullptr ? evaluator : &fleet_eval, report};
   drv.state.space_fp = space.fingerprint();
   drv.state.options_fp = options_fingerprint(opts, contexts);
 

@@ -214,12 +214,24 @@ TEST_F(CpufreqTest, MicrosecondTunablesRefuseValuesWiderThanUnsignedInt) {
     ASSERT_TRUE(tree_.write(attr("scaling_governor"), governor).ok());
     const std::string path = std::string(governor) + "/" + knob;
     const std::string before = read(path);
-    for (const char* wide : {"4294967296", "9300000000000000000"}) {
-      const sysfs::Status status = tree_.write(attr(path), wide);
-      EXPECT_FALSE(status.ok()) << path << " = " << wide;
-      EXPECT_EQ(status.error(), sysfs::Errno::kInval) << path << " = " << wide;
+    // Too wide, up to 2^64 - 1, or not plain digits (a sign, a space).
+    for (const char* bad :
+         {"4294967296", "9300000000000000000", "18446744073709551615", "+5", " 5"}) {
+      const sysfs::Status status = tree_.write(attr(path), bad);
+      EXPECT_FALSE(status.ok()) << path << " = '" << bad << "'";
+      EXPECT_EQ(status.error(), sysfs::Errno::kInval) << path << " = '" << bad << "'";
       EXPECT_EQ(read(path), before) << path;
     }
+    // The tree strips the newline `echo` appends, so trailing bytes reach
+    // the parser only through the store hook itself.
+    bool found = false;
+    for (const Tunable& t : policy_->governor()->tunables()) {
+      if (t.name != knob) continue;
+      found = true;
+      EXPECT_FALSE(t.store("5\n").ok()) << path;
+    }
+    EXPECT_TRUE(found) << path;
+    EXPECT_EQ(read(path), before) << path;
     EXPECT_TRUE(tree_.write(attr(path), "4294967295").ok()) << path;
     EXPECT_EQ(read(path), "4294967295") << path;
   }

@@ -33,6 +33,7 @@
 #include "fleet/spool.h"
 #include "fleet/textio.h"
 #include "obs/trace.h"
+#include "simcore/parse.h"
 #include "simcore/rng.h"
 
 namespace vafs::fleet {
@@ -537,9 +538,10 @@ void expect_state_bits(const CheckpointState& a, const CheckpointState& b) {
 }
 
 // The manifest, the supervisor wire and tune-state.ckpt all read integers
-// through parse_u64: 2^64 - 1 is the last accepted value, and anything
+// through sim::parse_u64: 2^64 - 1 is the last accepted value, and anything
 // larger is refused rather than wrapped.
 TEST(TextIo, ParseU64RefusesOverflowInsteadOfWrapping) {
+  using sim::parse_u64;
   std::uint64_t v = 0;
   ASSERT_TRUE(parse_u64("18446744073709551615", &v));
   EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());

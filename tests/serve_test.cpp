@@ -14,7 +14,11 @@
 //      perturb any other stream's digest; connections beyond the cap get
 //      one observable error frame and a close, bounded and counted.
 //
-//   3. Daemon lifecycle (the real vafsd binary, VAFS_VAFSD_PATH):
+//   3. Byte boundaries: frames coalesced into one send or dribbled one
+//      byte per send, a drain that lands mid-frame, a reply the client
+//      must reassemble, and no heap allocation per round trip.
+//
+//   4. Daemon lifecycle (the real vafsd binary, VAFS_VAFSD_PATH):
 //      readiness line, SIGTERM drains and exits 0 with clients still
 //      connected, and a client reconnects to a restarted daemon — fresh
 //      epoch, same digests.
@@ -28,8 +32,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +57,174 @@ std::string unique_socket_path(const char* tag) {
   static std::atomic<int> counter{0};
   return "/tmp/vafs-st-" + std::to_string(getpid()) + "-" + tag + "-" +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+/// Counts heap allocations on every thread while switched on (see the
+/// replaced operator new at the end of this file).
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+core::DecisionStreamInfo test_stream_info() {
+  core::DecisionStreamInfo info;
+  info.geometry.clusters.push_back({{300000, 600000, 1200000}, 1.0, 1'200'000.0});
+  return info;
+}
+
+/// A request that plans (so the reply carries real frequencies).
+core::DecisionRequest test_request() {
+  core::DecisionRequest req;
+  req.event = core::DecisionEvent::kReplan;
+  req.now_us = 2'000'000;
+  req.player_state = core::DecisionPlayerState::kPlaying;
+  req.downloading = true;
+  req.decoded_ahead = 12;
+  req.decoded_frames = 60;
+  req.total_frames = 900;
+  req.frame_period_us = 33'333;
+  req.current_rep = 1;
+  req.throughput_mbps = 4.5;
+  return req;
+}
+
+/// The Decision payload an in-process DecisionCore gives for `req` as the
+/// first request of a fresh stream.
+std::vector<std::uint8_t> in_process_reply(const core::DecisionRequest& req) {
+  const core::DecisionStreamInfo info = test_stream_info();
+  core::DecisionCore core(info.config, info.geometry);
+  std::vector<std::uint8_t> payload;
+  serve::encode_response(payload, core.decide(req));
+  return payload;
+}
+
+std::vector<std::uint8_t> frame_of(serve::MsgType type, std::uint64_t stream_id,
+                                   const std::vector<std::uint8_t>& payload = {}) {
+  std::vector<std::uint8_t> frame;
+  serve::encode_frame(frame, type, stream_id, payload);
+  return frame;
+}
+
+std::vector<std::uint8_t> hello_frame(std::uint64_t stream_id) {
+  std::vector<std::uint8_t> payload;
+  serve::encode_stream_info(payload, test_stream_info());
+  return frame_of(serve::MsgType::kHello, stream_id, payload);
+}
+
+std::vector<std::uint8_t> decide_frame(std::uint64_t stream_id,
+                                       const core::DecisionRequest& req) {
+  std::vector<std::uint8_t> payload;
+  serve::encode_request(payload, req);
+  return frame_of(serve::MsgType::kDecide, stream_id, payload);
+}
+
+sockaddr_un socket_address(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return addr;
+}
+
+/// A raw client socket connected to `path`, or -1.
+int connect_raw(const std::string& path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const sockaddr_un addr = socket_address(path);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_bytes(int fd, const std::uint8_t* data, std::size_t len) {
+  while (len > 0) {
+    const ssize_t n = send(fd, data, len, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool send_bytes(int fd, const std::vector<std::uint8_t>& bytes) {
+  return send_bytes(fd, bytes.data(), bytes.size());
+}
+
+/// Reads exactly `len` bytes, waiting at most `timeout_ms` for each read.
+bool read_exactly(int fd, std::uint8_t* buf, std::size_t len, int timeout_ms = 5000) {
+  while (len > 0) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (poll(&pfd, 1, timeout_ms) <= 0) return false;
+    const ssize_t n = read(fd, buf, len);
+    if (n <= 0) return false;
+    buf += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one whole frame; false on EOF, error, timeout or a bad frame.
+bool read_frame(int fd, serve::FrameHeader* header, std::vector<std::uint8_t>* payload) {
+  std::uint8_t head[serve::kWireHeaderSize];
+  if (!read_exactly(fd, head, sizeof(head))) return false;
+  if (serve::decode_header(head, *header) != serve::WireError::kNone) return false;
+  payload->resize(header->payload_len);
+  if (!read_exactly(fd, payload->data(), payload->size())) return false;
+  return serve::verify_payload(*header, payload->data(), payload->size()) ==
+         serve::WireError::kNone;
+}
+
+/// True iff the peer closes within `timeout_ms` without sending a byte.
+bool reads_eof(int fd, int timeout_ms = 5000) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (poll(&pfd, 1, timeout_ms) <= 0) return false;
+  std::uint8_t byte = 0;
+  return read(fd, &byte, 1) == 0;
+}
+
+/// A minimal stand-in for the daemon: accepts one connection on a fresh
+/// socket and runs `handler` on it in a thread, so a test controls every
+/// byte the client receives.
+class RawServer {
+ public:
+  explicit RawServer(std::function<void(int)> handler)
+      : path_(unique_socket_path("raw")), handler_(std::move(handler)) {
+    listen_fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+    const sockaddr_un addr = socket_address(path_);
+    unlink(path_.c_str());
+    ok_ = listen_fd_ >= 0 &&
+          bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+          listen(listen_fd_, 1) == 0;
+    if (ok_) {
+      thread_ = std::thread([this] {
+        const int fd = accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) return;
+        handler_(fd);
+        close(fd);
+      });
+    }
+  }
+  ~RawServer() {
+    if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept() still waiting
+    if (thread_.joinable()) thread_.join();
+    if (listen_fd_ >= 0) close(listen_fd_);
+    unlink(path_.c_str());
+  }
+
+  bool ok() const { return ok_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::function<void(int)> handler_;
+  int listen_fd_ = -1;
+  bool ok_ = false;
+  std::thread thread_;
+};
+
+/// Reads one request frame on a raw server's connection.
+bool read_request(int fd, serve::FrameHeader* header) {
+  std::vector<std::uint8_t> payload;
+  return read_frame(fd, header, &payload);
 }
 
 /// Runs one corpus case with a digest-only tracer, optionally through a
@@ -150,12 +325,8 @@ TEST(ServeIsolation, StalledClientDoesNotPerturbOtherStreams) {
 
   // The stalled client: a raw socket that sends only the first half of a
   // valid Decide frame and then goes silent.
-  int stalled = socket(AF_UNIX, SOCK_STREAM, 0);
+  const int stalled = connect_raw(server.socket_path());
   ASSERT_GE(stalled, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, server.socket_path().c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(connect(stalled, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   std::vector<std::uint8_t> frame;
   serve::encode_frame(frame, serve::MsgType::kDecide, 0,
                       std::vector<std::uint8_t>(64, 0xAB));
@@ -202,8 +373,7 @@ TEST(ServeBackpressure, OverCapConnectionsGetOneErrorFrameAndAClose) {
   serve::ServeConnection first(server.socket_path());
   ASSERT_TRUE(first.ping());  // occupies the single slot
 
-  core::DecisionStreamInfo info;
-  info.geometry.clusters.push_back({{300000, 600000, 1200000}, 1.0, 1'200'000.0});
+  const core::DecisionStreamInfo info = test_stream_info();
   for (int i = 0; i < 3; ++i) {
     serve::ServeConnection rejected(server.socket_path());
     // The overload error frame arrives either as the reply to the hello
@@ -216,6 +386,206 @@ TEST(ServeBackpressure, OverCapConnectionsGetOneErrorFrameAndAClose) {
 
   server.stop();
   EXPECT_EQ(server.stats().connections_rejected, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Byte boundaries: the server parses frames out of whatever one read()
+// returned, and the client reassembles its reply from whatever arrives.
+
+// Five frames in one send(): each is answered, in order, with no further
+// byte from the client (Close has no reply).
+TEST(ServeFraming, CoalescedFramesAreEachAnsweredInOrder) {
+  serve::Server server({unique_socket_path("coalesce"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+
+  const core::DecisionRequest req = test_request();
+  std::vector<std::uint8_t> bytes;
+  for (const std::vector<std::uint8_t>& f :
+       {frame_of(serve::MsgType::kPing, 0), hello_frame(3), decide_frame(3, req),
+        frame_of(serve::MsgType::kClose, 3), frame_of(serve::MsgType::kPing, 0)}) {
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kPong);
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kHelloOk);
+  EXPECT_EQ(header.stream_id, 3u);
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kDecision);
+  EXPECT_EQ(header.stream_id, 3u);
+  EXPECT_EQ(payload, in_process_reply(req));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kPong);
+
+  close(fd);
+  server.stop();
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.streams_opened, 1u);
+  EXPECT_EQ(stats.streams_closed, 1u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+// One Decide frame sent one byte per send() gets exactly one reply: the
+// next frame on the connection answers the Ping sent after it.
+TEST(ServeFraming, DribbledFrameGetsExactlyOneReply) {
+  serve::Server server({unique_socket_path("dribble"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(send_bytes(fd, hello_frame(0)));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  ASSERT_EQ(header.type, serve::MsgType::kHelloOk);
+
+  const core::DecisionRequest req = test_request();
+  const std::vector<std::uint8_t> frame = decide_frame(0, req);
+  for (const std::uint8_t byte : frame) {
+    ASSERT_TRUE(send_bytes(fd, &byte, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kDecision);
+  EXPECT_EQ(payload, in_process_reply(req));
+
+  ASSERT_TRUE(send_bytes(fd, frame_of(serve::MsgType::kPing, 0)));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kPong);
+
+  close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 1u);
+}
+
+// stop() lands while half a Decide frame is buffered: the connection keeps
+// reading, answers the frame once the rest arrives, then closes, and stop()
+// returns within the drain grace (1000 ms) plus one stop-flag tick (50 ms).
+TEST(ServeFraming, DrainAnswersTheFrameInFlightThenCloses) {
+  serve::Server server({unique_socket_path("drain"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(send_bytes(fd, hello_frame(0)));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  ASSERT_EQ(header.type, serve::MsgType::kHelloOk);
+
+  const core::DecisionRequest req = test_request();
+  const std::vector<std::uint8_t> frame = decide_frame(0, req);
+  const std::size_t half = frame.size() / 2;
+  ASSERT_TRUE(send_bytes(fd, frame.data(), half));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  std::chrono::steady_clock::duration stop_took{};
+  std::thread stopper([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    stop_took = std::chrono::steady_clock::now() - t0;
+  });
+  // Past two ticks, so the connection has seen the stop flag mid-frame.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(send_bytes(fd, frame.data() + half, frame.size() - half));
+
+  EXPECT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kDecision);
+  EXPECT_EQ(payload, in_process_reply(req));
+  EXPECT_TRUE(reads_eof(fd));
+  stopper.join();
+  EXPECT_LT(stop_took, std::chrono::milliseconds(1000 + 50));
+  close(fd);
+}
+
+// The client reassembles a reply that arrives in three writes, the first
+// ending mid-header.
+TEST(ServeClient, ReassemblesAReplySplitAcrossWrites) {
+  core::DecisionResponse want;
+  want.planned = true;
+  want.boosted = true;
+  want.decode_cluster = 1;
+  want.cluster_count = 2;
+  want.target_khz[0] = 600000;
+  want.target_khz[1] = 1'800'000;
+  want.decode_mape = 0.1234567890123;
+  RawServer daemon([&](int fd) {
+    serve::FrameHeader request;
+    if (!read_request(fd, &request)) return;
+    std::vector<std::uint8_t> body;
+    serve::encode_response(body, want);
+    const std::vector<std::uint8_t> reply =
+        frame_of(serve::MsgType::kDecision, request.stream_id, body);
+    for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{0, 10},
+                                  {10, serve::kWireHeaderSize + 5},
+                                  {serve::kWireHeaderSize + 5, reply.size()}}) {
+      send_bytes(fd, reply.data() + from, to - from);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  ASSERT_TRUE(daemon.ok());
+
+  serve::ServeConnection conn(daemon.path());
+  const core::DecisionResponse got = conn.decide(5, test_request());
+  EXPECT_FALSE(conn.broken());
+  std::vector<std::uint8_t> got_bytes, want_bytes;
+  serve::encode_response(got_bytes, got);
+  serve::encode_response(want_bytes, want);
+  EXPECT_EQ(got_bytes, want_bytes);
+}
+
+// One request gets one reply: bytes after it break the connection.
+TEST(ServeClient, BytesAfterTheReplyBreakTheConnection) {
+  RawServer daemon([](int fd) {
+    serve::FrameHeader request;
+    if (!read_request(fd, &request)) return;
+    std::vector<std::uint8_t> body;
+    serve::encode_response(body, core::DecisionResponse{});
+    std::vector<std::uint8_t> bytes = frame_of(serve::MsgType::kDecision, request.stream_id, body);
+    const std::vector<std::uint8_t> extra = frame_of(serve::MsgType::kPong, 0);
+    bytes.insert(bytes.end(), extra.begin(), extra.end());
+    send_bytes(fd, bytes);  // one write: the client's one read sees both
+    std::uint8_t byte = 0;
+    while (read(fd, &byte, 1) > 0) {
+    }
+  });
+  ASSERT_TRUE(daemon.ok());
+
+  serve::ServeConnection conn(daemon.path());
+  EXPECT_THROW(conn.decide(0, test_request()), core::SessionError);
+  EXPECT_TRUE(conn.broken());
+}
+
+// In steady state a round trip allocates nothing on either end. The
+// requests skip the plan, whose decision-core arithmetic is not part of
+// the transport; every other step of a Decide (encode, send, the server's
+// read, verify, decode, reply encode, the client's read and decode) runs.
+TEST(ServeAllocation, SteadyStateRoundTripsAllocateNothing) {
+  serve::Server server({unique_socket_path("alloc"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  serve::ServeConnection conn(server.socket_path());
+  const std::uint64_t stream = conn.open_stream(test_stream_info());
+  core::DecisionRequest req = test_request();
+  req.want_plan = false;
+  for (int i = 0; i < 100; ++i) conn.decide(stream, req);  // warm every buffer
+
+  int pongs = 0;
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  for (int i = 0; i < 1000; ++i) {
+    conn.decide(stream, req);
+    pongs += conn.ping() ? 1 : 0;
+  }
+  g_count_allocations.store(false);
+
+  EXPECT_EQ(pongs, 1000);
+  EXPECT_EQ(g_allocations.load(), 0u);
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -385,3 +755,17 @@ TEST(VafsdLifecycle, BadUsageExitsTwo) {
 
 }  // namespace
 }  // namespace vafs
+
+// Replaced global allocation functions: identical to the default ones
+// except for the count ServeAllocation reads. Kept out of line, so the
+// compiler pairs each new with this delete, not with its std::free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (vafs::g_count_allocations.load(std::memory_order_relaxed)) {
+    vafs::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
