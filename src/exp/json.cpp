@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "obs/export.h"
+
 namespace vafs::exp {
 
 Json& Json::push(Json v) {
@@ -41,28 +43,6 @@ std::string json_number(double v) {
 
 namespace {
 
-void write_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out.push_back('\n');
@@ -76,7 +56,7 @@ void Json::write(std::string& out, int indent, int depth) const {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kNumber: out += json_number(num_); break;
-    case Kind::kString: write_escaped(out, str_); break;
+    case Kind::kString: out += obs::json_quote(str_); break;
     case Kind::kArray: {
       if (items_.empty()) {
         out += "[]";
@@ -101,7 +81,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i) out.push_back(',');
         newline_indent(out, indent, depth + 1);
-        write_escaped(out, members_[i].first);
+        out += obs::json_quote(members_[i].first);
         out += indent > 0 ? ": " : ":";
         members_[i].second.write(out, indent, depth + 1);
       }

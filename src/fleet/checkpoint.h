@@ -3,14 +3,17 @@
 // A manifest captures the fold state at a shard boundary: how many shards
 // (and tasks) have been folded, every scenario's partial Aggregate, the
 // running trace-digest chain, the failure and quarantine lists and the
-// spool/quarantine-log offsets. The format is line-oriented text (schema
-// v2); doubles are serialized as IEEE-754 hex bit patterns so a
-// write → read round trip is bit-exact — an aggregate restored from a
-// manifest continues folding exactly as the uninterrupted run would have.
+// spool/quarantine-log offsets. The format is records of the fleet record
+// codec (fleet/record.h, schema v2); doubles are serialized as IEEE-754
+// hex bit patterns so a write → read round trip is bit-exact — an
+// aggregate restored from a manifest continues folding exactly as the
+// uninterrupted run would have.
 //
-// Integrity: the last line carries an FNV-1a digest of every byte above
-// it. A truncated, padded or bit-flipped manifest fails that check and is
-// rejected with a pointed error instead of resuming from garbage.
+// Integrity: the file is sealed (fleet::write_sealed): its last line
+// carries an FNV-1a digest of every byte before it. A truncated, padded or
+// bit-flipped manifest fails that check, and a sealed one whose counts,
+// ranges or record order are wrong fails the parse; either is rejected
+// with a pointed error instead of resuming from garbage.
 // Durability: the body is written to a sibling .tmp with every write()
 // return checked, fsync'd, renamed into place, and the directory fsync'd —
 // a kill or ENOSPC at any byte leaves the previous manifest intact and is

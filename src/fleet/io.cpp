@@ -3,9 +3,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "fleet/record.h"
+#include "simcore/fnv.h"
 
 namespace vafs::fleet {
 
@@ -73,6 +78,8 @@ bool fsync_parent_dir(const std::string& path, std::string* error) {
   return true;
 }
 
+namespace {
+
 bool write_file_durable(const std::string& path, std::string_view body, std::string_view what,
                         std::string_view noun, std::string* error) {
   const std::string tag(what);
@@ -112,6 +119,44 @@ bool write_file_durable(const std::string& path, std::string_view body, std::str
     *error = tag + ": " + io_error;
     return false;
   }
+  return true;
+}
+
+}  // namespace
+
+bool write_sealed(const std::string& path, std::string body, std::string_view what,
+                  std::string_view noun, std::string* error) {
+  const std::uint64_t seal = sim::fnv1a(sim::fnv1a(sim::kFnvOffset, body), "end ");
+  RecordWriter(body, "end").hex(seal).end();
+  return write_file_durable(path, body, what, noun, error);
+}
+
+bool read_sealed(const std::string& path, std::string_view what, std::string* body,
+                 std::string* error) {
+  const std::string tag(what);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = tag + ": cannot open '" + path + "'";
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *body = std::move(buffer).str();
+  const auto fail = [&](const char* why) {
+    *error = tag + " '" + path + "': " + why;
+    return false;
+  };
+  if (body->empty() || body->back() != '\n') return fail("truncated (no terminating end line)");
+  const std::size_t end_at = body->rfind('\n', body->size() - 2) + 1;
+  const std::string_view end_line(body->data() + end_at, body->size() - end_at - 1);
+  std::uint64_t stated = 0;
+  if (!RecordReader(end_line).tag("end").hex(&stated).done()) {
+    return fail("truncated (malformed end line)");
+  }
+  if (sim::fnv1a(sim::kFnvOffset, body->data(), end_at + 4) != stated) {
+    return fail("corrupt (checksum mismatch: file may be truncated or bit-flipped)");
+  }
+  body->resize(end_at);
   return true;
 }
 

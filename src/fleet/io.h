@@ -1,5 +1,6 @@
 // Durable POSIX write helpers for the fleet persistence layer (checkpoint
-// manifests, spools, quarantine logs), plus test-only failure injection.
+// manifests, spools, quarantine logs), the one seal on sealed files
+// (the manifest and tune-state.ckpt), plus test-only failure injection.
 //
 // Every byte that a resume depends on goes through write_all/fsync_fd:
 // short writes are retried, EINTR is handled, and errors surface as a
@@ -46,15 +47,24 @@ bool fsync_fd(int fd, std::string* error);
 /// an opened directory is reported.
 bool fsync_parent_dir(const std::string& path, std::string* error);
 
-/// Publishes `body` at `path` atomically and durably: sibling .tmp, every
-/// write checked (write_all), fsync, rename into place, directory fsync.
-/// On any failure the previous file at `path` — if any — is left intact,
-/// the .tmp is unlinked and `error` gets a pointed message prefixed with
-/// `what` (e.g. "checkpoint") naming the untouched file as `noun`
-/// (e.g. "manifest"). The checkpoint manifest and the tuner's search-state
-/// file share this path so both survive a kill or ENOSPC at every byte
-/// boundary.
-bool write_file_durable(const std::string& path, std::string_view body, std::string_view what,
-                        std::string_view noun, std::string* error);
+/// Publishes `body` at `path` sealed: the body, then "end <hex>\n", where
+/// the hex is FNV-1a over every byte before it, "end " included. The write
+/// is atomic and durable: sibling .tmp, every write checked (write_all),
+/// fsync, rename into place, directory fsync. On any failure the previous
+/// file at `path` — if any — is left intact, the .tmp is unlinked and
+/// `error` gets a pointed message prefixed with `what` (e.g. "checkpoint")
+/// naming the untouched file as `noun` (e.g. "manifest"). The checkpoint
+/// manifest and tune-state.ckpt both go through here, so both survive a
+/// kill or ENOSPC at every byte boundary.
+bool write_sealed(const std::string& path, std::string body, std::string_view what,
+                  std::string_view noun, std::string* error);
+
+/// Reads a write_sealed file whole and verifies its seal; on success
+/// `body` holds every byte before the end line. A file that cannot be
+/// opened, lacks a well-formed end line ("truncated ...") or fails the
+/// checksum ("corrupt (checksum mismatch ...)") is refused with `error`
+/// prefixed by `what` and the path — before a single field is read.
+bool read_sealed(const std::string& path, std::string_view what, std::string* body,
+                 std::string* error);
 
 }  // namespace vafs::fleet

@@ -5,32 +5,9 @@
 #include <string>
 
 #include "exp/aggregate.h"
+#include "simcore/fnv.h"
 
 namespace vafs::fleet {
-namespace {
-
-// FNV-1a over bytes, with 64-bit words folded whole. Stable across
-// platforms (no host-endianness leak: words are folded value-wise).
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-std::uint64_t fold_bytes(std::uint64_t h, const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fold_word(std::uint64_t h, std::uint64_t word) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (word >> shift) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 ShardPlan::ShardPlan(std::size_t scenario_count, std::size_t seed_count, std::size_t shard_size)
     : scenarios_(scenario_count),
@@ -58,20 +35,20 @@ TaskRef ShardPlan::task(std::size_t index) const {
 
 std::uint64_t grid_fingerprint(const std::vector<exp::ScenarioSpec>& scenarios,
                                const std::vector<std::uint64_t>& seeds, std::size_t shard_size) {
-  std::uint64_t h = kFnvOffset;
-  h = fold_word(h, scenarios.size());
+  std::uint64_t h = sim::kFnvOffset;
+  h = sim::fnv1a_u64(h, scenarios.size());
   for (const auto& spec : scenarios) {
-    h = fold_bytes(h, spec.id.data(), spec.id.size());
-    h = fold_word(h, 0);  // terminator: ids "ab","c" vs "a","bc" differ
+    h = sim::fnv1a(h, spec.id);
+    h = sim::fnv1a_u64(h, 0);  // terminator: ids "ab","c" vs "a","bc" differ
   }
-  h = fold_word(h, seeds.size());
-  for (const std::uint64_t seed : seeds) h = fold_word(h, seed);
-  h = fold_word(h, shard_size);
+  h = sim::fnv1a_u64(h, seeds.size());
+  for (const std::uint64_t seed : seeds) h = sim::fnv1a_u64(h, seed);
+  h = sim::fnv1a_u64(h, shard_size);
   // The metric schema: a checkpoint's aggregate rows are positional, so a
   // reordered or extended metric table must invalidate old checkpoints.
   for (const auto& metric : exp::Aggregate::metrics()) {
-    h = fold_bytes(h, metric.name, std::char_traits<char>::length(metric.name));
-    h = fold_word(h, 1);
+    h = sim::fnv1a(h, std::string_view(metric.name));
+    h = sim::fnv1a_u64(h, 1);
   }
   return h;
 }

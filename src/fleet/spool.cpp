@@ -24,18 +24,6 @@ std::string csv_quote(const std::string& text) {
   return out;
 }
 
-/// Minimal JSON string escaping — scenario ids and metric names are ASCII
-/// identifiers/labels; escape the two structural characters anyway.
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 /// Named metric -> Aggregate metric-table index (kMetricCount if unknown).
 std::size_t metric_index(const std::string& name) {
   const auto& table = exp::Aggregate::metrics();
@@ -124,13 +112,14 @@ void Spool::append_values(const exp::ScenarioSpec& spec, std::uint64_t seed,
     append_row(std::move(rows));
     return;
   }
-  std::string row = "{\"scenario\":" + json_quote(spec.id) + ",\"seed\":" + std::to_string(seed) +
+  std::string row = "{\"scenario\":" + obs::json_quote(spec.id) +
+                    ",\"seed\":" + std::to_string(seed) +
                     ",\"digest\":\"" + obs::digest_hex(digest) + "\",\"metrics\":{";
   bool first = true;
   for (std::size_t slot = 0; slot < options_.metrics.size(); ++slot) {
     if (!first) row += ',';
     first = false;
-    row += json_quote(options_.metrics[slot]) + ':' + exp::json_number(value_at(slot));
+    row += obs::json_quote(options_.metrics[slot]) + ':' + exp::json_number(value_at(slot));
   }
   row += "}}\n";
   append_row(std::move(row));
@@ -142,7 +131,7 @@ void Spool::append_failure(const exp::ScenarioSpec& spec, std::uint64_t seed) {
     append_row(csv_quote(spec.id) + ',' + std::to_string(seed) + ",failed,1\n");
     return;
   }
-  append_row("{\"scenario\":" + json_quote(spec.id) + ",\"seed\":" + std::to_string(seed) +
+  append_row("{\"scenario\":" + obs::json_quote(spec.id) + ",\"seed\":" + std::to_string(seed) +
              ",\"failed\":true}\n");
 }
 

@@ -8,30 +8,6 @@
 namespace vafs::obs {
 namespace {
 
-/// Minimal JSON string escaper. Event/track/arg names are static C
-/// identifiers, but the process name is caller-provided.
-void write_escaped(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out << buf;
-        } else {
-          out << ch;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_double(std::ostream& out, double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.10g", value);
@@ -45,7 +21,7 @@ void write_args(std::ostream& out, const EventInfo& info, const TraceEvent& ev) 
     if (name == nullptr) return;
     if (!first) out << ',';
     first = false;
-    write_escaped(out, name);
+    out << json_quote(name);
     out << ':' << value;
   };
   arg(info.arg_a, ev.a);
@@ -77,13 +53,13 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
   // Metadata: one pid, one named tid per track.
   sep();
   out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":";
-  write_escaped(out, process_name);
+  out << json_quote(process_name);
   out << "}}";
   for (std::size_t t = 0; t < kTrackCount; ++t) {
     sep();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << t
         << ",\"args\":{\"name\":";
-    write_escaped(out, track_name(static_cast<Track>(t)));
+    out << json_quote(track_name(static_cast<Track>(t)));
     out << "}}";
     sep();
     out << "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":" << t
@@ -96,7 +72,7 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
     const auto tid = static_cast<unsigned>(info.track);
     sep();
     out << "{\"name\":";
-    write_escaped(out, info.name);
+    out << json_quote(info.name);
     out << ",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ev.t_us;
     switch (info.phase) {
       case Phase::kInstant:
@@ -110,12 +86,12 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
         break;
       case Phase::kAsyncBegin:
         out << ",\"ph\":\"b\",\"cat\":";
-        write_escaped(out, info.name);
+        out << json_quote(info.name);
         out << ",\"id\":" << async_id(ev) << ',';
         break;
       case Phase::kAsyncEnd:
         out << ",\"ph\":\"e\",\"cat\":";
-        write_escaped(out, info.name);
+        out << json_quote(info.name);
         out << ",\"id\":" << async_id(ev) << ',';
         break;
       case Phase::kComplete:
@@ -133,9 +109,9 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
     for (const Sample& sample : series.samples()) {
       sep();
       out << "{\"name\":";
-      write_escaped(out, series_name(id));
+      out << json_quote(series_name(id));
       out << ",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":" << sample.t_us << ",\"args\":{";
-      write_escaped(out, series_unit(id));
+      out << json_quote(series_unit(id));
       out << ':';
       write_double(out, sample.value);
       out << "}}";
@@ -156,6 +132,29 @@ void write_timeline_csv(std::ostream& out, const Timeline& timeline) {
       out << name << ',' << sample.t_us << ',' << buf << '\n';
     }
   }
+}
+
+std::string json_quote(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
 }
 
 std::string digest_hex(std::uint64_t digest) {

@@ -1,6 +1,7 @@
 // Trace exporters: Chrome trace_event JSON (loadable in Perfetto /
 // chrome://tracing), long-format CSV timelines for tools/plot_timeline.py,
-// and digest formatting helpers for the artifact sinks.
+// digest formatting helpers for the artifact sinks and the one JSON string
+// quoter.
 #pragma once
 
 #include <iosfwd>
@@ -22,6 +23,10 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
 /// Writes every timeline sample as `series,t_us,value` rows (header
 /// included, nothing downsampled or truncated).
 void write_timeline_csv(std::ostream& out, const Timeline& timeline);
+
+/// `text` as a quoted JSON string: quotes and backslashes escaped, \n \r \t
+/// by name and every other control byte as \u00XX; other bytes pass as is.
+std::string json_quote(std::string_view text);
 
 /// Canonical artifact form of a digest: "0x" + 16 lowercase hex digits.
 /// JSON numbers are doubles, so digests travel as strings.

@@ -12,33 +12,13 @@
 namespace vafs::serve {
 namespace {
 
-constexpr int kPollMs = 50;       // stop-flag check cadence
-constexpr int kDrainGraceMs = 1000;  // max wait for a mid-frame peer at drain
+constexpr int kPollMs = 50;  // stop-flag check cadence
+/// At drain, the longest wait for a peer that is mid-frame or not reading.
+constexpr std::int64_t kDrainGraceMs = 1000;
 /// A connection's first receive buffer: room for dozens of Decide frames.
 /// It grows only for a frame that does not fit, and decode_header bounds a
 /// frame at kWireHeaderSize + kMaxPayload bytes.
 constexpr std::size_t kReceiveBufferSize = 4096;
-
-bool write_all(int fd, const std::uint8_t* buf, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    // MSG_NOSIGNAL: a peer that died mid-reply is an EPIPE error, not a
-    // process-killing SIGPIPE — this server is often hosted in-process by
-    // tests and benches that do not ignore the signal.
-    const ssize_t n = send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN) {
-        pollfd pfd{fd, POLLOUT, 0};
-        poll(&pfd, 1, kPollMs);
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 void append_error_frame(std::vector<std::uint8_t>& out, std::uint64_t stream_id,
                         WireError code) {
@@ -48,6 +28,30 @@ void append_error_frame(std::vector<std::uint8_t>& out, std::uint64_t stream_id,
 }
 
 }  // namespace
+
+bool Server::send_all(int fd, const std::uint8_t* buf, std::size_t len) const {
+  std::size_t sent = 0;
+  while (sent < len) {
+    // MSG_NOSIGNAL: a peer that died mid-reply is an EPIPE error, not a
+    // process-killing SIGPIPE — this server is often hosted in-process by
+    // tests and benches that do not ignore the signal.
+    const ssize_t n = send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      // A send-timeout tick: a peer that reads nothing holds this thread
+      // until a drain has waited its grace.
+      if ((errno == EAGAIN || errno == EWOULDBLOCK) && !drain_expired()) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool Server::drain_expired() const {
+  return stopping_.load(std::memory_order_acquire) &&
+         wall_us() >= drain_deadline_us_.load(std::memory_order_relaxed);
+}
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {}
 
@@ -85,6 +89,7 @@ bool Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  drain_deadline_us_.store(wall_us() + kDrainGraceMs * 1000, std::memory_order_relaxed);
   stopping_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   // The registry is stable now: only this thread mutates it.
@@ -122,11 +127,12 @@ void Server::accept_loop() {
     if (pr <= 0) continue;
     const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
-    // A connection thread sleeps in read() and wakes every tick to check
-    // the stop flag. Without the timeout it could sleep through stop(), so
-    // a socket that refuses it is closed unserved.
+    // A connection thread sleeps in read() or send() and wakes every tick
+    // to check the stop flag. Without the timeouts it could sleep through
+    // stop(), so a socket that refuses either is closed unserved.
     const timeval tick{0, kPollMs * 1000};
-    if (setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick)) != 0) {
+    if (setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick)) != 0 ||
+        setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tick, sizeof(tick)) != 0) {
       close(fd);
       rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -149,7 +155,7 @@ void Server::accept_loop() {
       // Bounded, observable backpressure: one error frame, then close.
       std::vector<std::uint8_t> reply;
       append_error_frame(reply, 0, WireError::kServerOverloaded);
-      write_all(fd, reply.data(), reply.size());
+      send_all(fd, reply.data(), reply.size());
       close(fd);
       rejected_.fetch_add(1, std::memory_order_relaxed);
       trace(obs::EventKind::kServeReject, next_connection_id_, 0);
@@ -178,7 +184,6 @@ void Server::serve_connection(Connection& conn) {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::vector<std::uint8_t> reply;
-  int stopped_ticks = 0;
 
   for (;;) {
     const std::size_t held = end - begin;
@@ -195,7 +200,7 @@ void Server::serve_connection(Connection& conn) {
           // Header structure was intact: tell the peer why before closing.
           reply.clear();
           append_error_frame(reply, header.stream_id, herr);
-          write_all(conn.fd, reply.data(), reply.size());
+          send_all(conn.fd, reply.data(), reply.size());
         }
         break;
       }
@@ -218,12 +223,9 @@ void Server::serve_connection(Connection& conn) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) break;
       // A receive-timeout tick. Between frames a drain request closes the
-      // connection now; inside a frame it keeps reading, for at most
-      // kDrainGraceMs, so the in-flight request is finished and answered.
-      if (stopping_.load(std::memory_order_acquire) &&
-          (held == 0 || ++stopped_ticks * kPollMs >= kDrainGraceMs)) {
-        break;
-      }
+      // connection now; inside a frame it keeps reading until the drain's
+      // grace is over, so the in-flight request is finished and answered.
+      if (stopping_.load(std::memory_order_acquire) && (held == 0 || drain_expired())) break;
       continue;
     }
 
@@ -239,7 +241,7 @@ void Server::serve_connection(Connection& conn) {
     } else if (!handle_frame(conn, streams, header, payload, header.payload_len, reply)) {
       break;
     }
-    if (!reply.empty() && !write_all(conn.fd, reply.data(), reply.size())) break;
+    if (!reply.empty() && !send_all(conn.fd, reply.data(), reply.size())) break;
 
     // Drained: the in-flight frame is answered; frames buffered behind it
     // go unanswered.

@@ -97,11 +97,18 @@ class Server {
                     std::vector<std::uint8_t>& reply);
   void trace(obs::EventKind kind, std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0);
   std::int64_t wall_us() const;
+  /// Sends all of `buf`, retrying send-timeout ticks until the drain's
+  /// grace is over.
+  bool send_all(int fd, const std::uint8_t* buf, std::size_t len) const;
+  /// True once stop() has waited kDrainGraceMs (server.cpp) for peers that
+  /// are mid-frame or not reading their replies.
+  bool drain_expired() const;
 
   ServerOptions options_;
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  std::atomic<std::int64_t> drain_deadline_us_{0};  // wall_us() at which a drain gives up
   std::thread accept_thread_;
 
   std::mutex connections_mutex_;

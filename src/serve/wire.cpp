@@ -3,19 +3,10 @@
 #include <bit>
 #include <cstring>
 
+#include "simcore/fnv.h"
+
 namespace vafs::serve {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void put_u32(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v);
@@ -70,8 +61,7 @@ std::uint64_t frame_checksum(std::uint8_t version, MsgType type, std::uint64_t s
   head[0] = version;
   head[1] = static_cast<std::uint8_t>(type);
   put_u64(head + 2, stream_id);
-  std::uint64_t h = fnv1a(kFnvOffset, head, sizeof(head));
-  return fnv1a(h, payload, len);
+  return sim::fnv1a(sim::fnv1a(sim::kFnvOffset, head, sizeof(head)), payload, len);
 }
 
 void encode_frame(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t stream_id,

@@ -56,43 +56,19 @@ std::string signal_label(int sig) {
   return name != nullptr ? std::string(name) : "SIG" + std::to_string(sig);
 }
 
-/// JSON string body escaping for the quarantine log (ASCII control chars,
-/// quotes, backslashes — scenario ids and stderr tails carry newlines).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One quarantine.jsonl line. Deterministic: no timestamps, no pids — the
 /// kill/resume byte-identity tests diff this file directly.
 std::string quarantine_json(const QuarantineRecord& q) {
-  std::string line = "{\"task\":" + std::to_string(q.task_index) + ",\"scenario\":\"" +
-                     json_escape(q.scenario) + "\",\"seed\":" + std::to_string(q.seed) +
+  std::string line = "{\"task\":" + std::to_string(q.task_index) +
+                     ",\"scenario\":" + obs::json_quote(q.scenario) +
+                     ",\"seed\":" + std::to_string(q.seed) +
                      ",\"attempts\":" + std::to_string(q.attempts) + ",\"fates\":[";
   for (std::size_t i = 0; i < q.fates.size(); ++i) {
     if (i > 0) line += ',';
-    line += '"' + json_escape(q.fates[i]) + '"';
+    line += obs::json_quote(q.fates[i]);
   }
-  line += "],\"stderr\":\"" + json_escape(q.stderr_tail) +
-          "\",\"last_trace_events\":" + std::to_string(q.last_trace_events) +
+  line += "],\"stderr\":" + obs::json_quote(q.stderr_tail) +
+          ",\"last_trace_events\":" + std::to_string(q.last_trace_events) +
           ",\"last_trace_digest\":\"" + obs::digest_hex(q.last_trace_digest) + "\"}\n";
   return line;
 }

@@ -1,10 +1,10 @@
 // Supervisor <-> worker pipe protocol.
 //
-// Line-oriented text, one message per line, every line shorter than
-// PIPE_BUF (4096 B on Linux) so a single write() is atomic and messages
-// from a dying worker are never interleaved or torn. Doubles travel as
-// IEEE-754 hex bit patterns (fleet/textio.h), so a result folded by the
-// supervisor is bit-identical to one folded in-process.
+// Records of the fleet record codec (fleet/record.h), one message per
+// line, every line shorter than PIPE_BUF (4096 B on Linux) so a single
+// write() is atomic and messages from a dying worker are never interleaved
+// or torn. Doubles travel as IEEE-754 hex bit patterns, so a result folded
+// by the supervisor is bit-identical to one folded in-process.
 //
 //   supervisor -> worker (cmd pipe)
 //     T <task_index> <attempt>     run this task

@@ -2,33 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "exp/json.h"
+#include "simcore/fnv.h"
 #include "simcore/rng.h"
 
 namespace vafs::tune {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_double(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv_bytes(h, &bits, sizeof(bits));
-}
 
 std::string integer_text(double v) { return std::to_string(std::llround(v)); }
 
@@ -212,12 +193,12 @@ std::string ParamSpace::format(const Candidate& c) const {
 }
 
 std::uint64_t ParamSpace::fingerprint() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kFnvOffset;
   for (const ParamDef& d : defs_) {
-    h = fnv_bytes(h, d.name.data(), d.name.size());
-    h = fnv_double(h, d.lo);
-    h = fnv_double(h, d.hi);
-    h = fnv_double(h, d.step);
+    h = sim::fnv1a(h, d.name);
+    h = sim::fnv1a_f64(h, d.lo);
+    h = sim::fnv1a_f64(h, d.hi);
+    h = sim::fnv1a_f64(h, d.step);
   }
   return h;
 }

@@ -1,59 +1,32 @@
 #include "tune/tuner.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 
 #include "device/profile.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/io.h"
-#include "fleet/textio.h"
+#include "fleet/record.h"
+#include "obs/export.h"
+#include "simcore/fnv.h"
 #include "simcore/parse.h"
 
 namespace vafs::tune {
 namespace {
 
-constexpr int kStateSchema = 1;
+constexpr int kStateSchema = 2;
 /// Violation penalty for candidates whose sessions failed or hit the sim
 /// cap: far above any real constraint excess, so broken configs sort
 /// after merely-stalling ones but still have a total order among
 /// themselves (by failure count, then energy, then index).
 constexpr double kBrokenPenalty = 1e9;
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) { return fnv_bytes(h, &v, sizeof(v)); }
-
-std::uint64_t fnv_double(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv_u64(h, bits);
-}
-
 std::uint64_t fnv_str(std::uint64_t h, std::string_view s) {
-  h = fnv_u64(h, s.size());
-  return fnv_bytes(h, s.data(), s.size());
-}
-
-std::string hex16(std::uint64_t v) {
-  std::string out;
-  fleet::append_hex64(out, v);
-  return out;
+  return sim::fnv1a(sim::fnv1a_u64(h, s.size()), s);
 }
 
 std::string candidate_text(const Candidate& c) {
@@ -142,107 +115,72 @@ struct StateFile {
 
 std::string serialize_state(const StateFile& st) {
   std::string out;
-  out += "vafs-tune-state " + std::to_string(kStateSchema) + "\n";
-  out += "space " + hex16(st.space_fp) + "\n";
-  out += "options " + hex16(st.options_fp) + "\n";
+  fleet::RecordWriter(out, "vafs-tune-state").u64(kStateSchema).end();
+  fleet::RecordWriter(out, "space").hex(st.space_fp).end();
+  fleet::RecordWriter(out, "options").hex(st.options_fp).end();
   for (const RoundRecord& r : st.rounds) {
-    out += "round " + r.tag + " " + std::to_string(r.seeds) + " " +
-           std::to_string(r.candidates.size()) + "\n";
+    fleet::RecordWriter(out, "round").word(r.tag).u64(r.seeds).u64(r.candidates.size()).end();
     for (std::size_t i = 0; i < r.candidates.size(); ++i) {
       const Score& s = r.scores[i];
-      out += "c " + candidate_text(r.candidates[i]) + " ";
-      out += std::to_string((s.evaluated ? 1 : 0) | (s.feasible ? 2 : 0));
+      fleet::RecordWriter w(out, "c");
+      w.word(candidate_text(r.candidates[i])).u64((s.evaluated ? 1 : 0) | (s.feasible ? 2 : 0));
       for (const double v : {s.violation, s.energy_mj, s.rebuffer_ratio, s.drop_pct, s.startup_s,
                              s.bitrate_kbps, s.guard_rebuffer_s}) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        out += ' ';
-        fleet::append_hex64(out, bits);
+        w.f64(v);
       }
-      out += ' ' + std::to_string(s.runs) + ' ' + std::to_string(s.failures) + "\n";
+      w.u64(static_cast<std::uint64_t>(s.runs)).u64(static_cast<std::uint64_t>(s.failures)).end();
     }
   }
-  out += "end " + hex16(fnv_bytes(kFnvOffset, out.data(), out.size())) + "\n";
   return out;
 }
 
 bool parse_state(const std::string& path, StateFile* st, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "tune-state: cannot open '" + path + "'";
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
+  std::string content;
+  if (!fleet::read_sealed(path, "tune-state", &content, error)) return false;
   const auto fail = [&](const std::string& why) {
     *error = "tune-state '" + path + "': " + why;
     return false;
   };
-  if (content.empty() || content.back() != '\n') {
-    return fail("truncated (no terminating end line)");
-  }
-  const std::size_t last_line_start = content.rfind('\n', content.size() - 2) + 1;
-  const std::string_view last_line(content.data() + last_line_start,
-                                   content.size() - last_line_start - 1);
-  std::uint64_t want = 0;
-  if (last_line.size() != 4 + 16 || last_line.substr(0, 4) != "end " ||
-      !fleet::parse_hex64(last_line.substr(4), &want)) {
-    return fail("truncated (no terminating end line)");
-  }
-  if (fnv_bytes(kFnvOffset, content.data(), last_line_start) != want) {
-    return fail("checksum mismatch (corrupt or torn write)");
-  }
-
-  std::istringstream lines(content.substr(0, last_line_start));
-  std::string line;
-  std::vector<std::string> f;
-  const auto next = [&](std::size_t want_fields) {
-    if (!std::getline(lines, line)) return false;
-    fleet::split_fields(line, &f);
-    return f.size() == want_fields;
-  };
-  if (!next(2) || f[0] != "vafs-tune-state" || f[1] != std::to_string(kStateSchema)) {
+  std::string_view body = content;
+  std::uint64_t schema = 0;
+  if (!fleet::next_record(&body).tag("vafs-tune-state").u64(&schema).done() ||
+      schema != static_cast<std::uint64_t>(kStateSchema)) {
     return fail("bad header (schema mismatch?)");
   }
-  if (!next(2) || f[0] != "space" || !fleet::parse_hex64(f[1], &st->space_fp)) {
+  if (!fleet::next_record(&body).tag("space").hex(&st->space_fp).done()) {
     return fail("bad space line");
   }
-  if (!next(2) || f[0] != "options" || !fleet::parse_hex64(f[1], &st->options_fp)) {
+  if (!fleet::next_record(&body).tag("options").hex(&st->options_fp).done()) {
     return fail("bad options line");
   }
-  while (std::getline(lines, line)) {
-    fleet::split_fields(line, &f);
-    if (f.size() != 4 || f[0] != "round") return fail("bad round line");
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::int64_t>::max();
+  while (!body.empty()) {
     RoundRecord rec;
-    rec.tag = f[1];
-    std::uint64_t ncand = 0;
-    if (!sim::parse_u64(f[2], &rec.seeds) || !sim::parse_u64(f[3], &ncand)) {
+    std::string_view tag;
+    std::uint64_t candidates = 0;
+    if (!fleet::next_record(&body).tag("round").word(&tag).u64(&rec.seeds).u64(&candidates)
+             .done()) {
       return fail("bad round line");
     }
-    for (std::uint64_t i = 0; i < ncand; ++i) {
-      if (!std::getline(lines, line)) return fail("bad candidate line");
-      fleet::split_fields(line, &f);
-      if (f.size() != 12 || f[0] != "c") return fail("bad candidate line");
-      Candidate c;
-      if (!parse_candidate(f[1], &c)) return fail("bad candidate line");
+    rec.tag = tag;
+    for (std::uint64_t i = 0; i < candidates; ++i) {
+      std::string_view text;
       std::uint64_t flags = 0;
-      if (!sim::parse_u64(f[2], &flags) || flags > 3) return fail("bad candidate line");
-      Score s;
-      s.evaluated = (flags & 1) != 0;
-      s.feasible = (flags & 2) != 0;
-      double* const targets[] = {&s.violation,  &s.energy_mj,    &s.rebuffer_ratio, &s.drop_pct,
-                                 &s.startup_s,  &s.bitrate_kbps, &s.guard_rebuffer_s};
-      for (std::size_t t = 0; t < 7; ++t) {
-        std::uint64_t bits = 0;
-        if (!fleet::parse_hex64(f[3 + t], &bits)) return fail("bad candidate line");
-        std::memcpy(targets[t], &bits, sizeof(bits));
-      }
       std::uint64_t runs = 0;
       std::uint64_t failures = 0;
-      if (!sim::parse_u64(f[10], &runs) || !sim::parse_u64(f[11], &failures)) {
+      Score s;
+      fleet::RecordReader r = fleet::next_record(&body).tag("c").word(&text).u64(&flags, 3);
+      for (double* v : {&s.violation, &s.energy_mj, &s.rebuffer_ratio, &s.drop_pct, &s.startup_s,
+                        &s.bitrate_kbps, &s.guard_rebuffer_s}) {
+        r.f64(v);
+      }
+      Candidate c;
+      if (!r.u64(&runs, kMaxCount).u64(&failures, kMaxCount).done() ||
+          !parse_candidate(text, &c)) {
         return fail("bad candidate line");
       }
+      s.evaluated = (flags & 1) != 0;
+      s.feasible = (flags & 2) != 0;
       s.runs = static_cast<std::int64_t>(runs);
       s.failures = static_cast<std::int64_t>(failures);
       rec.candidates.push_back(std::move(c));
@@ -256,34 +194,34 @@ bool parse_state(const std::string& path, StateFile* st, std::string* error) {
 
 std::uint64_t options_fingerprint(const TunerOptions& opts,
                                   const std::vector<TuneContext>& contexts) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_u64(h, opts.search_seed);
-  h = fnv_u64(h, opts.eval_seed_base);
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.initial_candidates));
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.eta));
-  h = fnv_u64(h, opts.seed_schedule.size());
-  for (const int n : opts.seed_schedule) h = fnv_u64(h, static_cast<std::uint64_t>(n));
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.refine_passes));
-  h = fnv_u64(h, opts.sensitivity ? 1 : 0);
+  std::uint64_t h = sim::kFnvOffset;
+  h = sim::fnv1a_u64(h, opts.search_seed);
+  h = sim::fnv1a_u64(h, opts.eval_seed_base);
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.initial_candidates));
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.eta));
+  h = sim::fnv1a_u64(h, opts.seed_schedule.size());
+  for (const int n : opts.seed_schedule) h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(n));
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.refine_passes));
+  h = sim::fnv1a_u64(h, opts.sensitivity ? 1 : 0);
   // Base-config scalars most likely to change between invocations. The
   // per-round fleet manifests fingerprint the *full* scenario configs, so
   // in-flight rounds are fully protected; this guards replayed rounds
   // against the common drift (different media length / ABR / rung).
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.base.media_duration.as_micros()));
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.base.segment_duration.as_micros()));
-  h = fnv_u64(h, static_cast<std::uint64_t>(opts.base.abr));
-  h = fnv_u64(h, opts.base.fixed_rep);
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.base.media_duration.as_micros()));
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.base.segment_duration.as_micros()));
+  h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(opts.base.abr));
+  h = sim::fnv1a_u64(h, opts.base.fixed_rep);
   for (const TuneContext& ctx : contexts) {
     h = fnv_str(h, ctx.name);
     h = fnv_str(h, ctx.profile);
     h = fnv_str(h, ctx.net_label);
-    h = fnv_u64(h, static_cast<std::uint64_t>(ctx.net));
+    h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(ctx.net));
     h = fnv_str(h, ctx.governor);
-    h = fnv_double(h, ctx.constraints.max_rebuffer_ratio);
-    h = fnv_double(h, ctx.constraints.max_drop_pct);
-    h = fnv_double(h, ctx.constraints.max_startup_s);
-    h = fnv_double(h, ctx.constraints.min_bitrate_kbps);
-    h = fnv_double(h, ctx.constraints.max_guard_rebuffer_s);
+    h = sim::fnv1a_f64(h, ctx.constraints.max_rebuffer_ratio);
+    h = sim::fnv1a_f64(h, ctx.constraints.max_drop_pct);
+    h = sim::fnv1a_f64(h, ctx.constraints.max_startup_s);
+    h = sim::fnv1a_f64(h, ctx.constraints.min_bitrate_kbps);
+    h = sim::fnv1a_f64(h, ctx.constraints.max_guard_rebuffer_s);
   }
   return h;
 }
@@ -378,21 +316,21 @@ struct Driver {
   bool keep_going() const { return !opts.keep_going || opts.keep_going(); }
 
   void fold_round(const RoundRecord& rec) {
-    std::uint64_t h = report.trajectory_digest == 0 ? kFnvOffset : report.trajectory_digest;
+    std::uint64_t h = report.trajectory_digest == 0 ? sim::kFnvOffset : report.trajectory_digest;
     h = fnv_str(h, rec.tag);
-    h = fnv_u64(h, rec.seeds);
+    h = sim::fnv1a_u64(h, rec.seeds);
     for (std::size_t i = 0; i < rec.candidates.size(); ++i) {
       const Candidate& c = rec.candidates[i];
-      h = fnv_u64(h, c.size());
-      for (const std::uint32_t idx : c) h = fnv_u64(h, idx);
+      h = sim::fnv1a_u64(h, c.size());
+      for (const std::uint32_t idx : c) h = sim::fnv1a_u64(h, idx);
       const Score& s = rec.scores[i];
-      h = fnv_u64(h, (s.evaluated ? 1u : 0u) | (s.feasible ? 2u : 0u));
+      h = sim::fnv1a_u64(h, (s.evaluated ? 1u : 0u) | (s.feasible ? 2u : 0u));
       for (const double v : {s.violation, s.energy_mj, s.rebuffer_ratio, s.drop_pct, s.startup_s,
                              s.bitrate_kbps, s.guard_rebuffer_s}) {
-        h = fnv_double(h, v);
+        h = sim::fnv1a_f64(h, v);
       }
-      h = fnv_u64(h, static_cast<std::uint64_t>(s.runs));
-      h = fnv_u64(h, static_cast<std::uint64_t>(s.failures));
+      h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(s.runs));
+      h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(s.failures));
     }
     report.trajectory_digest = h;
   }
@@ -460,8 +398,8 @@ struct Driver {
     *cell_sessions += round_sessions;
     if (!state_path.empty()) {
       std::string error;
-      if (!fleet::write_file_durable(state_path, serialize_state(state), "tune-state",
-                                     "state file", &error)) {
+      if (!fleet::write_sealed(state_path, serialize_state(state), "tune-state", "state file",
+                               &error)) {
         report.error = "tune: " + error;
         return std::nullopt;
       }
@@ -715,7 +653,7 @@ exp::Json tuned_configs_json(const ParamSpace& space, const std::vector<TuneCont
   // uninterrupted one. It stays on TuneReport for logs.
   search.set("rounds", static_cast<std::int64_t>(report.rounds));
   search.set("sessions", static_cast<std::int64_t>(report.sessions));
-  search.set("trajectory_digest", hex16(report.trajectory_digest));
+  search.set("trajectory_digest", obs::digest_hex(report.trajectory_digest).substr(2));
   root.set("search", std::move(search));
 
   exp::Json dims = exp::Json::array();

@@ -16,8 +16,8 @@
 // any job count (DESIGN.md §12).
 //
 // Kill/resume: with a checkpoint directory set, completed rounds land in
-// a durable state file (write_file_durable, FNV-checksummed like the
-// fleet manifest) and the in-flight round checkpoints through the fleet
+// a durable state file (fleet::write_sealed, the fleet manifest's seal and
+// record codec) and the in-flight round checkpoints through the fleet
 // v2 manifest layer in a per-round subdirectory. A resumed search replays
 // recorded rounds without re-running a session, fleet-resumes the
 // interrupted round mid-shard, and produces byte-identical artifacts to a

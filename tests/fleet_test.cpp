@@ -31,7 +31,6 @@
 #include "fleet/io.h"
 #include "fleet/shard_plan.h"
 #include "fleet/spool.h"
-#include "fleet/textio.h"
 #include "obs/trace.h"
 #include "simcore/parse.h"
 #include "simcore/rng.h"
@@ -631,6 +630,61 @@ TEST(Checkpoint, RejectsTruncationCorruptionAndTrailingGarbage) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << good;
   CheckpointState loaded;
   ASSERT_TRUE(read_checkpoint(path.string(), &loaded, &error)) << error;
+}
+
+// Correctly sealed manifests whose counts, ranges or record order are
+// hostile: each is refused with its "bad ... line" message. A count is
+// never an allocation size, and a run count must fit the aggregate's int.
+TEST(Checkpoint, RefusesHostileCountsRangesAndOrder) {
+  const fs::path dir = fresh_dir("hostile");
+  const std::string path = (dir / "manifest.ckpt").string();
+  sim::Rng rng(0x405711E);
+  std::string error;
+  ASSERT_TRUE(write_checkpoint(path, random_state(rng), &error)) << error;
+  std::string body;
+  ASSERT_TRUE(read_sealed(path, "checkpoint", &body, &error)) << error;
+
+  // `body` with the first line that starts with `prefix` replaced.
+  const auto with_line = [&body](const std::string& prefix, const std::string& line) {
+    std::string out = body;
+    const std::size_t at = out.find("\n" + prefix) + 1;
+    EXPECT_GT(at, 0u) << prefix;
+    return out.replace(at, out.find('\n', at) - at, line);
+  };
+  const auto read_resealed = [&](const std::string& hostile, CheckpointState* loaded) {
+    EXPECT_TRUE(write_sealed(path, hostile, "checkpoint", "manifest", &error)) << error;
+    error.clear();
+    return read_checkpoint(path, loaded, &error);
+  };
+  const auto refused = [&](const std::string& hostile, const std::string& needle) {
+    CheckpointState loaded;
+    EXPECT_FALSE(read_resealed(hostile, &loaded));
+    EXPECT_NE(error.find(needle), std::string::npos) << "got: " << error;
+  };
+
+  refused(with_line("scenarios ", "scenarios 18446744073709551615"), "bad scenario line");
+  refused(with_line("failures ", "failures 1152921504606846975"), "bad failure line 2");
+  refused(with_line("quarantined ", "quarantined 1152921504606846975"), "bad quarantine line 2");
+  refused(with_line("scenario 0 ", "scenario 0 runs 4294967299 finished 1"), "bad scenario line 0");
+  refused(with_line("scenario 0 ", "scenario 0 runs 2147483648 finished 1"), "bad scenario line 0");
+  refused(with_line("scenario 0 ", "scenario 0 runs 5 finished 2"), "bad scenario line 0");
+  refused(with_line("scenario 0 ", "scenario 1 runs 5 finished 1"), "bad scenario line 0");
+
+  // Metric lines 0 and 1 of scenario 0 swapped.
+  const std::size_t m0 = body.find("\nm 0 ") + 1;
+  const std::size_t m1 = body.find("\nm 1 ") + 1;
+  std::string swapped = body;
+  const std::string line0 = body.substr(m0, m1 - m0);
+  const std::string line1 = body.substr(m1, body.find('\n', m1) + 1 - m1);
+  swapped.replace(m0, line0.size() + line1.size(), line1 + line0);
+  refused(swapped, "bad metric line 0 in scenario 0");
+
+  // The largest run count an aggregate holds still reads back.
+  CheckpointState loaded;
+  ASSERT_TRUE(read_resealed(with_line("scenario 0 ", "scenario 0 runs 2147483647 finished 1"),
+                            &loaded))
+      << error;
+  EXPECT_EQ(loaded.aggregates[0].runs, std::numeric_limits<int>::max());
 }
 
 // ------------------------------------------------------- merge algebra

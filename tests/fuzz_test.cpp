@@ -1,7 +1,8 @@
 // Randomized stress tests: throw seeded-random operation sequences and
 // configuration draws at the substrates and assert the conservation
 // invariants that must survive *any* usage, not just the scripted
-// scenarios of the unit tests.
+// scenarios of the unit tests; and mutated input at the parsers (the vafsd
+// frame wire and the record formats) that must parse exactly or refuse.
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -9,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -21,11 +25,14 @@
 #include "core/session.h"
 #include "cpu/cpu_model.h"
 #include "fault/plan.h"
+#include "fleet/checkpoint.h"
+#include "fleet/io.h"
 #include "net/downloader.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "simcore/rng.h"
+#include "supervise/wire.h"
 #include "tune/param_space.h"
 #include "tune/tuner.h"
 
@@ -709,6 +716,208 @@ TEST_P(WireFuzz, MalformedFramesNeverCrashOrHangTheServer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz,
                          ::testing::Range<std::uint64_t>(5000, 5008));  // 8 campaigns
+
+// ----------------------------------------------------- Record-format fuzzing
+//
+// The line formats of the record codec (fleet/record.h) under mutation: a
+// valid checkpoint manifest body and encoded supervisor wire lines get
+// lines dropped, duplicated or swapped, fields replaced by random, huge,
+// signed, empty or non-hex tokens, and bytes flipped. A mutated manifest is
+// resealed, so it reaches the parser, not just the seal. The contract:
+// nothing throws, crashes or hangs; every refused manifest carries a
+// message; every accepted input re-encodes to its own bytes, so its values
+// read back the same.
+
+namespace record_fuzz {
+
+std::vector<std::string> split_lines(std::string_view text) {
+  std::vector<std::string> lines;
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
+    lines.emplace_back(text.substr(0, nl));
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  }
+  return lines;
+}
+
+std::string hostile_token(sim::Rng& rng) {
+  switch (rng.next_u64() % 8) {
+    case 0: return std::to_string(rng.next_u64());
+    case 1: return "18446744073709551616";  // 2^64
+    case 2: return "9223372036854775808";   // 2^63
+    case 3: return "-" + std::to_string(rng.next_u64() % 1000);
+    case 4: return "";
+    case 5: return "0123456789abcdeg";  // 16 digits, one not hex
+    case 6: return "-";
+    default: {
+      std::string hex;  // a well-formed hex field
+      for (int i = 0; i < 16; ++i) hex += "0123456789abcdef"[rng.next_u64() % 16];
+      return hex;
+    }
+  }
+}
+
+/// One field of `line` replaced or dropped, a field appended, or a bit
+/// flipped.
+void mutate_line(sim::Rng& rng, std::string* line) {
+  std::vector<std::size_t> starts = {0};
+  for (std::size_t i = 0; i < line->size(); ++i) {
+    if ((*line)[i] == ' ') starts.push_back(i + 1);
+  }
+  const std::size_t at = starts[rng.next_u64() % starts.size()];
+  const std::size_t end = std::min(line->find(' ', at), line->size());
+  switch (rng.next_u64() % 4) {
+    case 0: line->replace(at, end - at, hostile_token(rng)); break;
+    case 1: *line += ' ' + hostile_token(rng); break;
+    case 2: line->erase(at == 0 ? 0 : at - 1, end - (at == 0 ? 0 : at - 1)); break;
+    default:
+      if (!line->empty()) {
+        (*line)[rng.next_u64() % line->size()] ^= static_cast<char>(1 << (rng.next_u64() % 8));
+      }
+  }
+}
+
+/// One line dropped, duplicated, swapped with another or mutated.
+void mutate_body(sim::Rng& rng, std::vector<std::string>* lines) {
+  if (lines->empty()) return;
+  const std::size_t a = rng.next_u64() % lines->size();
+  const std::size_t b = rng.next_u64() % lines->size();
+  switch (rng.next_u64() % 4) {
+    case 0: lines->erase(lines->begin() + static_cast<std::ptrdiff_t>(a)); break;
+    case 1: {
+      const std::string copy = (*lines)[b];
+      lines->insert(lines->begin() + static_cast<std::ptrdiff_t>(a), copy);
+      break;
+    }
+    case 2: std::swap((*lines)[a], (*lines)[b]); break;
+    default: mutate_line(rng, &(*lines)[a]);
+  }
+}
+
+/// The manifest body write_checkpoint produces for `state`.
+std::string manifest_body(const std::string& path, const fleet::CheckpointState& state) {
+  std::string error;
+  std::string body;
+  EXPECT_TRUE(fleet::write_checkpoint(path, state, &error)) << error;
+  EXPECT_TRUE(fleet::read_sealed(path, "checkpoint", &body, &error)) << error;
+  return body;
+}
+
+/// Runs `line` through every wire parser and returns how many accept it:
+/// at most one may, and its values must re-encode to `line` itself.
+std::size_t wire_parsers_accepting(std::string_view line) {
+  std::vector<std::string> encoded;  // one line per accepting parser
+  std::uint64_t task = 0;
+  int attempt = 0;
+  if (supervise::parse_task(line, &task, &attempt)) {
+    supervise::encode_task(&encoded.emplace_back(), task, attempt);
+  }
+  if (supervise::parse_begin(line, &task)) supervise::encode_begin(&encoded.emplace_back(), task);
+  supervise::WireResult r;
+  if (supervise::parse_result(line, &r)) supervise::encode_result(&encoded.emplace_back(), r);
+  supervise::WireFailure f;
+  if (supervise::parse_failure(line, &f)) {
+    supervise::encode_failure(&encoded.emplace_back(), f.task_index, f.error);
+  }
+  supervise::WireHeartbeat h;
+  if (supervise::parse_heartbeat(line, &h)) {
+    supervise::encode_heartbeat(&encoded.emplace_back(), h);
+  }
+  if (supervise::is_quit(line)) supervise::encode_quit(&encoded.emplace_back());
+  EXPECT_LE(encoded.size(), 1u) << line;
+  for (const std::string& again : encoded) EXPECT_EQ(again, std::string(line) + '\n');
+  return encoded.size();
+}
+
+}  // namespace record_fuzz
+
+class RecordFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RecordFuzz, MutatedManifestsParseExactlyOrAreRefusedWithAMessage) {
+  using namespace record_fuzz;
+  sim::Rng rng(GetParam());
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("vafs_record_fuzz_" + std::to_string(GetParam()) + ".ckpt"))
+                               .string();
+  fleet::CheckpointState state;
+  state.fingerprint = rng.next_u64();
+  state.shards_done = 3;
+  state.tasks_done = 24;
+  state.digest_chain = rng.next_u64();
+  state.spool_offset = rng.next_u64() % (1ull << 40);
+  state.quarantine_offset = rng.next_u64() % (1ull << 30);
+  state.aggregates.resize(2);
+  for (exp::Aggregate& agg : state.aggregates) {
+    agg.runs = static_cast<int>(rng.next_u64() % 100);
+    agg.all_finished = rng.bernoulli(0.5);
+    for (const auto& m : exp::Aggregate::metrics()) {
+      sim::OnlineStats::State st;
+      st.n = rng.next_u64() % 100;
+      st.mean = std::bit_cast<double>(rng.next_u64());
+      st.m2 = std::bit_cast<double>(rng.next_u64());
+      st.min = std::bit_cast<double>(rng.next_u64());
+      st.max = std::bit_cast<double>(rng.next_u64());
+      agg.*m.member = sim::OnlineStats::from_state(st);
+    }
+  }
+  state.failures = {{7, 101, "boom: \"quoted\"\nsecond line"}, {9, 202, ""}};
+  state.quarantined = {{11, 303, 3, "crash:SIGSEGV,exit:41", "tail\n", 64, rng.next_u64()}};
+  const std::vector<std::string> pristine = split_lines(manifest_body(path, state));
+
+  int accepted = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<std::string> lines = pristine;
+    const int mutations = 1 + static_cast<int>(rng.next_u64() % 3);
+    for (int m = 0; m < mutations; ++m) mutate_body(rng, &lines);
+    std::string hostile;
+    for (const std::string& line : lines) hostile += line + '\n';
+    std::string error;
+    ASSERT_TRUE(fleet::write_sealed(path, hostile, "checkpoint", "manifest", &error)) << error;
+
+    fleet::CheckpointState loaded;
+    if (!fleet::read_checkpoint(path, &loaded, &error)) {
+      EXPECT_NE(error.find("checkpoint '"), std::string::npos) << error;
+      continue;
+    }
+    ++accepted;
+    // Each value has one spelling, so the accepted body is exactly the one
+    // its values encode to.
+    EXPECT_EQ(manifest_body(path, loaded), hostile);
+  }
+  EXPECT_GT(accepted, 0);  // the leg reaches the accepting path too
+  std::filesystem::remove(path);
+}
+
+TEST_P(RecordFuzz, MutatedWireLinesParseExactlyOrAreRefused) {
+  using namespace record_fuzz;
+  sim::Rng rng(GetParam());
+  std::string wire;
+  supervise::encode_task(&wire, rng.next_u64(), 2);
+  supervise::encode_quit(&wire);
+  supervise::encode_begin(&wire, rng.next_u64());
+  supervise::WireResult result;
+  result.task_index = rng.next_u64();
+  result.finished = true;
+  result.digest = rng.next_u64();
+  for (double& v : result.values) v = std::bit_cast<double>(rng.next_u64());
+  supervise::encode_result(&wire, result);
+  supervise::encode_failure(&wire, rng.next_u64(), std::string("boom\n\0\"", 7));
+  supervise::encode_heartbeat(&wire, {rng.next_u64(), rng.next_u64(), rng.next_u64()});
+  const std::vector<std::string> pristine = split_lines(wire);
+
+  for (const std::string& line : pristine) EXPECT_EQ(wire_parsers_accepting(line), 1u) << line;
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    std::string line = pristine[rng.next_u64() % pristine.size()];
+    const int mutations = 1 + static_cast<int>(rng.next_u64() % 3);
+    for (int m = 0; m < mutations; ++m) mutate_line(rng, &line);
+    accepted += wire_parsers_accepting(line);
+  }
+  EXPECT_GT(accepted, 0u);  // the leg reaches the accepting path too
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RecordFuzz,
+                         ::testing::Range<std::uint64_t>(6000, 6008));  // 8 campaigns
 
 }  // namespace
 }  // namespace vafs

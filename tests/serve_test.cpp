@@ -503,6 +503,59 @@ TEST(ServeFraming, DrainAnswersTheFrameInFlightThenCloses) {
   close(fd);
 }
 
+// A client that sends Pings and never reads a Pong fills both directions
+// until the connection thread sleeps in send(). stop() must still return
+// within the drain grace (1000 ms) plus two stop-flag ticks (50 ms each);
+// the client closes after 4 s, so a stop() that waits for it cannot hang
+// the test.
+TEST(ServeFraming, DrainGivesUpOnAPeerThatNeverReads) {
+  serve::Server server({unique_socket_path("noread"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+
+  // Whole Ping frames back to back, sent as one endless stream: a short
+  // send resumes mid-frame, so framing holds. The sockets are full once
+  // four sends in a row, 50 ms apart, take nothing.
+  std::vector<std::uint8_t> pings;
+  for (int i = 0; i < 256; ++i) {
+    const std::vector<std::uint8_t> ping = frame_of(serve::MsgType::kPing, 0, {});
+    pings.insert(pings.end(), ping.begin(), ping.end());
+  }
+  std::size_t offset = 0;
+  std::size_t sent = 0;
+  for (int idle = 0; idle < 4;) {
+    const ssize_t n = send(fd, pings.data() + offset, pings.size() - offset,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      offset = (offset + static_cast<std::size_t>(n)) % pings.size();
+      sent += static_cast<std::size_t>(n);
+      idle = 0;
+      ASSERT_LT(sent, std::size_t{64} << 20) << "the server never stopped reading";
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    ++idle;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+  std::atomic<bool> stopped{false};
+  std::chrono::steady_clock::duration stop_took{};
+  std::thread stopper([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    stop_took = std::chrono::steady_clock::now() - t0;
+    stopped.store(true);
+  });
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(4);
+  while (!stopped.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  close(fd);
+  stopper.join();
+  EXPECT_LT(stop_took, std::chrono::milliseconds(1000 + 2 * 50)) << sent << " bytes sent";
+}
+
 // The client reassembles a reply that arrives in three writes, the first
 // ending mid-header.
 TEST(ServeClient, ReassemblesAReplySplitAcrossWrites) {

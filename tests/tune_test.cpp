@@ -12,7 +12,8 @@
 //
 // Plus unit coverage of the pieces those claims rest on: ParamSpace grid
 // arithmetic and validation, the pure TunerRng, the canonical total order
-// better(), and state-file truncation/corruption/mismatch refusal.
+// better(), and state-file truncation/corruption/mismatch/hostile-count
+// refusal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 
 #include "exp/grid.h"
 #include "exp/runner.h"
+#include "fleet/io.h"
 #include "tune/param_space.h"
 #include "tune/tuner.h"
 
@@ -586,6 +588,43 @@ TEST(TunerState, ResumeRefusesTruncation) {
   const TuneReport report = run_tuner(space, {vafs_fair_cell()}, opts, &eval2);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.error.find("truncated"), std::string::npos) << report.error;
+}
+
+// A correctly sealed state file whose candidate claims 2^63 runs (or
+// failures): the count does not fit the score's int64_t, so resume refuses
+// it instead of storing a negative count.
+TEST(TunerState, ResumeRefusesACountPastInt64) {
+  const fs::path dir = fresh_dir("state_hostile");
+  ParamSpace space;
+  space.dim("safety_margin", 0.05, 0.35, 0.05);
+  SyntheticEvaluator eval(3);
+  const fs::path state = make_state_file(dir, &eval, space, synthetic_opts());
+  std::string body;
+  std::string error;
+  ASSERT_TRUE(fleet::read_sealed(state.string(), "tune-state", &body, &error)) << error;
+
+  // c <candidate> <flags> <7 f64> <runs> <failures>
+  const std::size_t at = body.find("\nc ") + 1;
+  ASSERT_GT(at, 0u);
+  const std::size_t end = body.find('\n', at);
+  const std::size_t failures_at = body.rfind(' ', end) + 1;
+  const std::size_t runs_at = body.rfind(' ', failures_at - 2) + 1;
+  for (const std::size_t field : {runs_at, failures_at}) {
+    std::string hostile = body;
+    const std::size_t field_end = hostile.find_first_of(" \n", field);
+    hostile.replace(field, field_end - field, "9223372036854775808");
+    ASSERT_TRUE(fleet::write_sealed(state.string(), hostile, "tune-state", "state file", &error))
+        << error;
+
+    TunerOptions opts = synthetic_opts();
+    opts.checkpoint_dir = dir.string();
+    opts.resume = true;
+    SyntheticEvaluator eval2(3);
+    const TuneReport report = run_tuner(space, {vafs_fair_cell()}, opts, &eval2);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.error.find("bad candidate line"), std::string::npos) << report.error;
+    EXPECT_EQ(eval2.rounds, 0);
+  }
 }
 
 TEST(TunerState, ResumeRefusesDifferentSearch) {
