@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
                 governor.c_str(), r.energy.cpu_mj / 1000.0,
                 wall_s > 0.0 ? r.energy.cpu_mj / wall_s : 0.0,
                 static_cast<unsigned long long>(flips),
-                static_cast<unsigned long long>(r.freq_transitions),
+                static_cast<unsigned long long>(r.clusters[0].freq_transitions),
                 r.qoe.drop_ratio() * 100.0);
   }
   return app.finish();

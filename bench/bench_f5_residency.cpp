@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   // Header: OPP frequencies.
   std::printf("%-13s", "governor");
-  for (const auto& [khz, frac] : results.all().front().run0().residency) {
+  for (const auto& [khz, frac] : results.all().front().run0().clusters[0].residency) {
     (void)frac;
     std::printf(" %7.1fG", static_cast<double>(khz) / 1e6);
   }
@@ -44,14 +44,14 @@ int main(int argc, char** argv) {
     const auto& r = results.at({{"governor", governor}}).run0();
     std::printf("%-13s", governor.c_str());
     exp::Json dist = exp::Json::array();
-    for (const auto& [khz, frac] : r.residency) {
+    for (const auto& [khz, frac] : r.clusters[0].residency) {
       std::printf(" %7.1f%%", frac * 100.0);
       exp::Json bin = exp::Json::object();
       bin.set("freq_khz", static_cast<std::uint64_t>(khz));
       bin.set("fraction", frac);
       dist.push(std::move(bin));
     }
-    std::printf(" %8llu\n", static_cast<unsigned long long>(r.freq_transitions));
+    std::printf(" %8llu\n", static_cast<unsigned long long>(r.clusters[0].freq_transitions));
     residency_json.set(governor, std::move(dist));
   }
 
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   for (const auto& governor : governors) {
     const auto& r = results.at({{"governor", governor}}).run0();
     std::printf("\n%s:\n", governor.c_str());
-    for (const auto& [khz, frac] : r.residency) {
+    for (const auto& [khz, frac] : r.clusters[0].residency) {
       std::printf("  %7.1f GHz |", static_cast<double>(khz) / 1e6);
       const int bar = static_cast<int>(frac * 60.0 + 0.5);
       for (int i = 0; i < bar; ++i) std::putchar('#');

@@ -39,7 +39,8 @@ struct World {
     downloader = std::make_unique<net::Downloader>(sim, radio, bw, &cpu);
     player = std::make_unique<stream::Player>(sim, cpu, *downloader, content,
                                               std::make_unique<stream::FixedAbr>(2));
-    controller = std::make_unique<core::VafsController>(sim, tree, binder->dir(), *player);
+    controller = std::make_unique<core::VafsController>(
+        sim, tree, std::vector<std::string>{binder->dir()}, nullptr, *player);
     controller->attach();
     player->start(nullptr);
     // Warm up: run 10 simulated seconds so predictors have history.

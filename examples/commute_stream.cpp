@@ -28,7 +28,7 @@ void run_one(const std::string& governor, double* ondemand_cpu) {
 
   // Time the CPU spent above 1 GHz — the burst signature.
   double above_1g = 0;
-  for (const auto& [khz, frac] : r.residency) {
+  for (const auto& [khz, frac] : r.clusters[0].residency) {
     if (khz > 1'000'000) above_1g += frac * r.wall.as_seconds_f();
   }
 

@@ -16,7 +16,7 @@ void print_result(const std::string& name, const vafs::core::SessionResult& r) {
               name.c_str(), r.energy.cpu_mj, r.energy.radio_mj, r.energy.total_mj(),
               r.qoe.startup_delay.as_seconds_f(),
               static_cast<unsigned long long>(r.qoe.rebuffer_events), r.qoe.drop_ratio() * 100.0,
-              static_cast<unsigned long long>(r.freq_transitions));
+              static_cast<unsigned long long>(r.clusters[0].freq_transitions));
 }
 
 }  // namespace

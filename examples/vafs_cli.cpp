@@ -200,8 +200,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The LITTLE side of a multi-cluster session: every cluster after the
-  // primary one.
+  // The primary cluster reports the single-core figures; the LITTLE side
+  // of a multi-cluster session is every cluster after it.
+  const core::SessionResult::ClusterReport& primary = r.clusters[0];
   double little_mj = 0.0;
   std::uint64_t decode_little = 0;
   for (std::size_t c = 1; c < r.clusters.size(); ++c) {
@@ -222,7 +223,7 @@ int main(int argc, char** argv) {
                 r.qoe.startup_delay.as_seconds_f(),
                 static_cast<unsigned long long>(r.qoe.rebuffer_events),
                 r.qoe.rebuffer_time.as_seconds_f(), r.qoe.drop_ratio() * 100.0,
-                static_cast<unsigned long long>(r.freq_transitions), r.qoe.mean_bitrate_kbps,
+                static_cast<unsigned long long>(primary.freq_transitions), r.qoe.mean_bitrate_kbps,
                 r.peak_temp_c, r.throttled_time.as_seconds_f(),
                 static_cast<unsigned long long>(decode_little), r.finished ? 1 : 0);
     return r.finished ? 0 : 1;
@@ -245,9 +246,10 @@ int main(int argc, char** argv) {
               r.qoe.mean_bitrate_kbps,
               static_cast<unsigned long long>(r.qoe.quality_switches));
   std::printf("dvfs:          %llu transitions, busy %.1f %%\n",
-              static_cast<unsigned long long>(r.freq_transitions), r.busy_fraction * 100.0);
+              static_cast<unsigned long long>(primary.freq_transitions),
+              primary.busy_fraction * 100.0);
   std::printf("residency:    ");
-  for (const auto& [khz, frac] : r.residency) {
+  for (const auto& [khz, frac] : primary.residency) {
     if (frac > 0.001) std::printf(" %.1fG:%.0f%%", static_cast<double>(khz) / 1e6, frac * 100);
   }
   std::printf("\n");
@@ -258,7 +260,7 @@ int main(int argc, char** argv) {
   }
   if (big_little) {
     std::printf("big.LITTLE:    little %.1f mJ, decode big/little %llu/%llu, %llu migrations\n",
-                little_mj, static_cast<unsigned long long>(r.clusters[0].decode_frames),
+                little_mj, static_cast<unsigned long long>(primary.decode_frames),
                 static_cast<unsigned long long>(decode_little),
                 static_cast<unsigned long long>(r.decode_migrations));
   }

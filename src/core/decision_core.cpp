@@ -2,26 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 namespace vafs::core {
 
 DecisionCore::DecisionCore(const VafsConfig& config, DecisionGeometry geometry)
     : config_(config), geometry_(std::move(geometry)) {
-  if (geometry_.clusters.empty() || geometry_.clusters.size() > kMaxDecisionClusters) {
+  const std::size_t n = geometry_.clusters.size();
+  if (n == 0 || n > kMaxDecisionClusters) {
     throw std::invalid_argument("DecisionCore: geometry must have 1.." +
                                 std::to_string(kMaxDecisionClusters) + " clusters, got " +
-                                std::to_string(geometry_.clusters.size()));
+                                std::to_string(n));
   }
   for (const auto& c : geometry_.clusters) {
     if (c.available_khz.empty()) {
       throw std::invalid_argument("DecisionCore: cluster with empty frequency table");
     }
   }
-  if (geometry_.routed && (geometry_.primary >= geometry_.clusters.size() ||
-                           geometry_.network >= geometry_.clusters.size())) {
+  if (geometry_.primary >= n || geometry_.network >= n) {
     throw std::invalid_argument("DecisionCore: primary/network cluster out of range");
+  }
+  // Insertion after equals keeps ties in index order.
+  const auto by_capacity = [this](std::uint32_t a, std::uint32_t b) {
+    return geometry_.clusters[a].capacity_khz < geometry_.clusters[b].capacity_khz;
+  };
+  for (std::uint32_t c = 0; c < n; ++c) {
+    if (c == geometry_.primary) continue;
+    candidates_.insert(std::upper_bound(candidates_.begin(), candidates_.end(), c, by_capacity),
+                       c);
   }
 }
 
@@ -93,109 +101,61 @@ std::uint32_t DecisionCore::snap(const std::vector<std::uint32_t>& table, double
   return table[idx];
 }
 
-void DecisionCore::plan_single_cluster(const DecisionRequest& req, double margin, bool boosted,
-                                       DecisionResponse& out) const {
-  const auto state = req.player_state;
-  const std::vector<std::uint32_t>& available = geometry_.clusters[0].available_khz;
-  double required_khz;
+void DecisionCore::plan(const DecisionRequest& req, double margin, bool boosted,
+                        DecisionResponse& out) const {
   const double decode_hz = decode_demand_hz(req);
-
-  if (!config_.race_to_idle_downloads && req.downloading) {
-    // Ablation arm: react to download bursts like a load-following
-    // governor would — run them at full speed.
-    required_khz = static_cast<double>(available.back());
-  } else if (decode_hz < 0 && state != DecisionPlayerState::kFinished) {
-    // Cold start: conservative floor until the predictor has history.
-    required_khz = config_.cold_start_fraction * static_cast<double>(available.back());
-  } else {
-    const double demand_hz =
-        std::max(0.0, decode_hz) + download_demand_hz(req) + audio_demand_hz(req);
-    required_khz = demand_hz * (1.0 + margin) / 1000.0;
-  }
-
-  out.decode_cluster = 0;
-  out.cluster_count = 1;
-  out.target_khz[0] = snap(available, required_khz, boosted);
-}
-
-void DecisionCore::plan_clusters(const DecisionRequest& req, double margin, bool boosted,
-                                 DecisionResponse& out) const {
-  const auto state = req.player_state;
-  const double decode_hz = decode_demand_hz(req);
+  const bool cold = decode_hz < 0 && req.player_state != DecisionPlayerState::kFinished;
   const std::size_t n = geometry_.clusters.size();
-  const std::size_t primary = geometry_.primary;
   const std::size_t net_c = geometry_.network;
+  // Ablation arm: a download in flight runs the network cluster flat out,
+  // as a load-following governor would.
+  const bool burst = !config_.race_to_idle_downloads && req.downloading;
   const auto penalty = [this](std::size_t c) { return geometry_.clusters[c].cycle_penalty; };
-  const auto available = [this](std::size_t c) -> const std::vector<std::uint32_t>& {
-    return geometry_.clusters[c].available_khz;
-  };
   out.cluster_count = static_cast<std::uint32_t>(n);
 
   // Network and audio work always run on the network cluster (demand in
   // that cluster's own cycles).
   const double net_khz = (download_demand_hz(req) + audio_demand_hz(req)) *
                          penalty(net_c) * (1.0 + margin) / 1000.0;
-
-  if (decode_hz < 0 && state != DecisionPlayerState::kFinished) {
-    // Cold start: keep decode on the primary cluster at the conservative
-    // floor; everything else parks (the network cluster at its demand).
-    out.decode_cluster = static_cast<std::uint32_t>(primary);
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto& table = available(c);
-      if (c == primary) {
-        out.target_khz[c] =
-            snap(table, config_.cold_start_fraction * static_cast<double>(table.back()),
-                 boosted);
-      } else if (c == net_c) {
-        out.target_khz[c] = snap(table, net_khz, false);
-      } else {
-        out.target_khz[c] = table.front();
-      }
-    }
-    return;
-  }
+  // Decode's IPC-inflated demand on cluster c, plus the network stack's
+  // when they share it.
+  const auto demand_khz = [&](std::size_t c) {
+    return std::max(0.0, decode_hz) * penalty(c) * (1.0 + margin) / 1000.0 +
+           (c == net_c ? net_khz : 0.0);
+  };
 
   // Decode goes to the least capable cluster that fits it: walk the
-  // non-primary clusters in ascending capacity order and take the first
-  // whose IPC-inflated decode demand — plus the network stack's, when
-  // they share the cluster — sits under its top OPP (one step of headroom
-  // when boosted). The primary cluster is the fallback.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return geometry_.clusters[a].capacity_khz < geometry_.clusters[b].capacity_khz;
-  });
-
-  std::size_t chosen = primary;
-  for (const std::size_t c : order) {
-    if (c == primary) continue;
-    const double decode_khz =
-        std::max(0.0, decode_hz) * penalty(c) * (1.0 + margin) / 1000.0;
-    const double total = decode_khz + (c == net_c ? net_khz : 0.0);
-    const auto& table = available(c);
-    const double cap = static_cast<double>(
-        boosted && table.size() >= 2 ? table[table.size() - 2] : table.back());
-    if (total <= cap) {
-      chosen = c;
-      break;
+  // candidates in ascending capacity and take the first whose demand sits
+  // under its top OPP (one step of headroom when boosted). The primary
+  // cluster is the fallback, and cold start keeps decode there at the
+  // conservative floor until the predictor has history.
+  std::size_t chosen = geometry_.primary;
+  if (!cold) {
+    for (const std::uint32_t c : candidates_) {
+      const auto& table = geometry_.clusters[c].available_khz;
+      const double cap = static_cast<double>(
+          boosted && table.size() >= 2 ? table[table.size() - 2] : table.back());
+      if (demand_khz(c) <= cap) {
+        chosen = c;
+        break;
+      }
     }
   }
 
   out.decode_cluster = static_cast<std::uint32_t>(chosen);
   for (std::size_t c = 0; c < n; ++c) {
-    const auto& table = available(c);
-    std::uint32_t khz;
-    if (c == chosen) {
-      double demand_khz =
-          std::max(0.0, decode_hz) * penalty(c) * (1.0 + margin) / 1000.0;
-      if (c == net_c) demand_khz += net_khz;
-      khz = snap(table, demand_khz, boosted);
+    const auto& table = geometry_.clusters[c].available_khz;
+    if (burst && c == net_c) {
+      out.target_khz[c] = table.back();
+    } else if (c == chosen) {
+      const double required_khz =
+          cold ? config_.cold_start_fraction * static_cast<double>(table.back()) : demand_khz(c);
+      out.target_khz[c] = snap(table, required_khz, boosted);
     } else if (c == net_c) {
-      khz = snap(table, net_khz, false);
+      out.target_khz[c] = snap(table, net_khz, false);
     } else {
-      khz = table.front();  // idle clusters park at min
+      out.target_khz[c] = table.front();  // idle clusters park at min
     }
-    out.target_khz[c] = khz;
   }
 }
 
@@ -247,11 +207,7 @@ DecisionResponse DecisionCore::decide(const DecisionRequest& req) {
   out.planned = true;
   out.boosted = boosted;
   out.latency_critical = latency_critical;
-  if (geometry_.routed) {
-    plan_clusters(req, margin, boosted, out);
-  } else {
-    plan_single_cluster(req, margin, boosted, out);
-  }
+  plan(req, margin, boosted, out);
   return out;
 }
 

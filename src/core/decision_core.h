@@ -72,8 +72,10 @@ struct VafsConfig {
   PredictorConfig predictor;
 
   /// Treat downloads as network-bound (plan only the protocol-processing
-  /// rate). When false, a download burst plans the maximum frequency —
-  /// the load-reactive behaviour this design exists to avoid (ablation).
+  /// rate). When false, a download in flight runs the network cluster at
+  /// its top OPP — the load-reactive behaviour this design exists to
+  /// avoid (ablation). Decode is planned as usual wherever it runs; on
+  /// one cluster that cluster is the network cluster, so it plans f_max.
   bool race_to_idle_downloads = true;
 
   /// Offline-calibrated network-stack cost. Matches DownloaderParams.
@@ -132,12 +134,11 @@ struct DecisionGeometry {
     /// Reference-cycle retire rate at f_max (ClusterRouter::capacity_khz).
     double capacity_khz = 0.0;
   };
-  std::vector<Cluster> clusters;  // [0] is the controller's own policy
-  /// Router cluster roles (ignored unless routed).
+  std::vector<Cluster> clusters;  // policy order: [0] is policy0
+  /// Router cluster roles: decode's fallback home and the cluster that
+  /// runs the network stack. On one cluster both are 0.
   std::uint32_t primary = 0;
   std::uint32_t network = 0;
-  /// Multi-cluster placement active (a ClusterRouter is present).
-  bool routed = false;
 };
 
 /// Mirror of stream::PlayerState — the decision core must not pull the
@@ -232,13 +233,14 @@ class DecisionCore {
   double audio_demand_hz(const DecisionRequest& req) const;
   static std::uint32_t snap(const std::vector<std::uint32_t>& table, double required_khz,
                             bool boosted);
-  void plan_single_cluster(const DecisionRequest& req, double margin, bool boosted,
-                           DecisionResponse& out) const;
-  void plan_clusters(const DecisionRequest& req, double margin, bool boosted,
-                     DecisionResponse& out) const;
+  void plan(const DecisionRequest& req, double margin, bool boosted,
+            DecisionResponse& out) const;
 
   VafsConfig config_;
   DecisionGeometry geometry_;
+  /// Decode's candidate clusters, every cluster but the primary in
+  /// ascending capacity (stable), fixed at construction.
+  std::vector<std::uint32_t> candidates_;
 
   /// Per-representation decode state: separate IDR/P predictors (merged
   /// into `p` when class_aware is off) plus the observed class mix.

@@ -131,10 +131,6 @@ struct SessionResult {
   /// sessions the value is wall - played and carries no meaning.
   sim::SimTime live_latency;
 
-  std::uint64_t freq_transitions = 0;
-  /// (freq_khz, fraction of wall time programmed at it), ascending.
-  std::vector<std::pair<std::uint32_t, double>> residency;
-  double busy_fraction = 0.0;
   std::uint64_t radio_promotions = 0;
 
   // VAFS-only (zeroed otherwise).
@@ -161,16 +157,16 @@ struct SessionResult {
   std::uint64_t throttle_events = 0;
 
   // Decode-cluster changes made by the router (zero on single-cluster
-  // devices). cpu_mj in `energy` covers every cluster; `residency` and
-  // `freq_transitions` above are the primary cluster's, and `clusters`
-  // below has the per-cluster story.
+  // devices). cpu_mj in `energy` covers every cluster; `clusters` below
+  // has the per-cluster story.
   std::uint64_t decode_migrations = 0;
 
   /// Resolved device profile name — fleet/population sweeps report
   /// per-class splits by it.
   std::string device;
 
-  /// Per-cluster report, in cluster (policy) order.
+  /// Per-cluster report, in cluster (policy) order: clusters[0] is the
+  /// primary cluster, the one a single-core table reports.
   struct ClusterReport {
     std::string name;
     double cpu_mj = 0.0;
@@ -180,6 +176,7 @@ struct SessionResult {
     double busy_fraction = 0.0;
     /// Decode tasks run here (0 everywhere for router-less sessions).
     std::uint64_t decode_frames = 0;
+    bool operator==(const ClusterReport&) const = default;
   };
   std::vector<ClusterReport> clusters;
 
@@ -190,21 +187,13 @@ struct SessionResult {
   std::uint64_t trace_events = 0;
 };
 
-/// Live objects handed to `on_ready` so callers can attach probes before
-/// the session starts (used by the timeline bench and the examples).
+/// Live objects handed to `on_ready` so callers can schedule events (seeks,
+/// sysfs writes) or attach probes before the session starts.
 struct SessionLive {
   sim::Simulator* sim = nullptr;
-  cpu::CpuModel* cpu = nullptr;              // primary cluster (== cpus[0])
-  cpu::CpufreqPolicy* policy = nullptr;      // primary policy (== policies[0])
   sysfs::Tree* tree = nullptr;
-  net::RadioModel* radio = nullptr;
   stream::Player* player = nullptr;
-  VafsController* vafs = nullptr;            // null unless governor == "vafs"
-  fault::FaultInjector* faults = nullptr;    // null unless config.fault.any()
-  thermal::ThermalModel* thermal = nullptr;  // null unless thermal_enabled
-  sched::ClusterRouter* router = nullptr;    // null on single-cluster devices
-  std::vector<cpu::CpuModel*> cpus;          // all clusters, policy order
-  std::vector<cpu::CpufreqPolicy*> policies;
+  fault::FaultInjector* faults = nullptr;  // null unless config.fault.any()
 };
 
 struct SessionHooks {

@@ -85,83 +85,64 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     throw SessionError("device profile '" + prof.name + "' has no clusters");
   }
 
-  // One CpuModel (+ optional cpuidle) per cluster. The primary cluster is
-  // fully brought up (model, policy, power probe, sysfs binder) before any
-  // secondary cluster is touched — the governor-timer event order in the
-  // queue depends on it, and the golden digests pin that order.
-  cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs[0].opps,
-                                                  cpu::CpuPowerModel(specs[0].power),
-                                                  specs[0].transition_latency));
-  cpu::CpuModel& cpu_model = *cpus_[0];
-
-  // kShallowOnly with the default WFI power is exactly the base model's
-  // flat idle pricing; attach a cpuidle model only for deeper strategies.
-  if (prof.cpuidle != cpu::CpuidleStrategy::kShallowOnly) {
-    cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(prof.cpuidle_params, prof.cpuidle));
-    cpu_model.set_cpuidle(cpuidles_.back().get());
+  if (tracer != nullptr) {
+    tracer->record(simulator_.now(), obs::EventKind::kSessionBegin, config.seed,
+                   static_cast<std::uint64_t>(config.media_duration.as_micros()));
   }
 
   registry_ = std::make_unique<cpu::GovernorRegistry>();
   governors::register_standard(*registry_);
+  tree_ = std::make_unique<sysfs::Tree>();
+  sysfs::Tree& tree = *tree_;
 
   // "vafs-oracle" = the VAFS controller with perfect decode-cost knowledge
   // and no safety margin: the offline lower bound for the energy tables.
   const bool use_oracle = config.governor == "vafs-oracle";
   const bool use_vafs = config.governor == "vafs" || use_oracle;
-  // VAFS boots on a stock governor and takes over through sysfs, exactly
-  // as a userspace daemon on a device would.
-  policies_.push_back(std::make_unique<cpu::CpufreqPolicy>(
-      simulator_, cpu_model, *registry_, use_vafs ? "ondemand" : config.governor));
-  cpu::CpufreqPolicy& policy = *policies_[0];
-  policy.set_tracer(tracer);
 
-  // kFreqChange on every cluster, whether or not the tracer keeps a timeline.
-  const auto trace_freq_changes = [sim = &simulator_, tracer](cpu::CpuModel& model,
-                                                              std::uint64_t cluster) {
-    model.add_freq_listener([sim, tracer, cluster](std::uint32_t old_khz, std::uint32_t new_khz) {
-      tracer->record(sim->now(), obs::EventKind::kFreqChange, old_khz, new_khz, cluster);
-    });
-  };
-  if (tracer != nullptr) {
-    tracer->record(simulator_.now(), obs::EventKind::kSessionBegin, config.seed,
-                   static_cast<std::uint64_t>(config.media_duration.as_micros()));
-    trace_freq_changes(cpu_model, 0);
-    if (tracer->keeps_timeline()) {
-      power_probe_ = std::make_shared<PowerProbe>(
-          PowerProbe{&simulator_, &cpu_model, tracer, simulator_.now(), cpu_model.energy_mj()});
-      tracer->timeline().push(obs::SeriesId::kFreqKhz, simulator_.now(),
-                              static_cast<double>(cpu_model.cur_freq_khz()));
-      cpu_model.add_freq_listener([probe = power_probe_](std::uint32_t, std::uint32_t new_khz) {
-        probe->tracer->timeline().push(obs::SeriesId::kFreqKhz, probe->sim->now(),
-                                       static_cast<double>(new_khz));
-        probe->flush();
-      });
-    }
-  }
-
-  tree_ = std::make_unique<sysfs::Tree>();
-  sysfs::Tree& tree = *tree_;
-  binders_.push_back(std::make_unique<cpu::CpufreqSysfs>(tree, policy, 0));
-  cpu::CpufreqSysfs& binder = *binders_[0];
-
-  // Secondary clusters (policy1..policyN-1) and the task router.
-  sink_ = &cpu_model;
-  for (std::size_t i = 1; i < specs.size(); ++i) {
+  // One cluster at a time, in policy order: model (+ cpuidle), policy,
+  // kFreqChange tracing, sysfs binder. Each cluster is fully built before
+  // the next is touched — the governor-timer event order in the queue
+  // depends on it, and the golden digests pin that order.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     cpus_.push_back(std::make_unique<cpu::CpuModel>(simulator_, specs[i].opps,
                                                     cpu::CpuPowerModel(specs[i].power),
                                                     specs[i].transition_latency));
     cpu::CpuModel& model = *cpus_[i];
+    // kShallowOnly with the default WFI power is exactly the base model's
+    // flat idle pricing; attach a cpuidle model only for deeper strategies.
     if (prof.cpuidle != cpu::CpuidleStrategy::kShallowOnly) {
       cpuidles_.push_back(std::make_unique<cpu::CpuidleModel>(prof.cpuidle_params, prof.cpuidle));
       model.set_cpuidle(cpuidles_.back().get());
     }
+    // VAFS boots on a stock governor and takes over through sysfs, exactly
+    // as a userspace daemon on a device would.
     policies_.push_back(std::make_unique<cpu::CpufreqPolicy>(
         simulator_, model, *registry_, use_vafs ? "ondemand" : config.governor));
     policies_[i]->set_tracer(tracer);
-    if (tracer != nullptr) trace_freq_changes(model, i);
-    binders_.push_back(std::make_unique<cpu::CpufreqSysfs>(tree, *policies_[i],
-                                                           static_cast<int>(i)));
+    if (tracer != nullptr) {
+      model.add_freq_listener(
+          [sim = &simulator_, tracer, i](std::uint32_t old_khz, std::uint32_t new_khz) {
+            tracer->record(sim->now(), obs::EventKind::kFreqChange, old_khz, new_khz, i);
+          });
+      // Frequency series and power probe: cluster 0's, for a tracer that
+      // keeps a timeline.
+      if (i == 0 && tracer->keeps_timeline()) {
+        power_probe_ = std::make_shared<PowerProbe>(
+            PowerProbe{&simulator_, &model, tracer, simulator_.now(), model.energy_mj()});
+        tracer->timeline().push(obs::SeriesId::kFreqKhz, simulator_.now(),
+                                static_cast<double>(model.cur_freq_khz()));
+        model.add_freq_listener([probe = power_probe_](std::uint32_t, std::uint32_t new_khz) {
+          probe->tracer->timeline().push(obs::SeriesId::kFreqKhz, probe->sim->now(),
+                                         static_cast<double>(new_khz));
+          probe->flush();
+        });
+      }
+    }
+    binders_.push_back(
+        std::make_unique<cpu::CpufreqSysfs>(tree, *policies_[i], static_cast<int>(i)));
   }
+
   // Program sampling-governor tunables through the same sysfs store hooks
   // a userspace tool would use, on every cluster's policy directory. Done
   // after all binders exist and before VAFS attaches (VAFS boots on
@@ -176,6 +157,9 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     }
   }
 
+  // Decode and the network stack run on cluster 0 unless a router places
+  // them; one cluster has nothing to place.
+  sink_ = cpus_[0].get();
   if (specs.size() > 1) {
     std::vector<sched::ClusterRouter::ClusterRef> refs;
     refs.reserve(specs.size());
@@ -268,8 +252,8 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
     // scaling_max_freq writes on the big policy, restored at window end.
     const auto& caps = injector_->plan().windows(fault::FaultKind::kThermalCap);
     if (!caps.empty()) {
-      const std::uint32_t fmax = cpu_model.opps().max().freq_khz;
-      const std::string max_path = binder.dir() + "/scaling_max_freq";
+      const std::uint32_t fmax = cpus_[0]->opps().max().freq_khz;
+      const std::string max_path = binders_[0]->dir() + "/scaling_max_freq";
       sysfs::Tree* tree_ptr = tree_.get();
       for (const auto& window : caps) {
         const auto capped =
@@ -290,16 +274,13 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
       vafs_config.oracle = true;
       vafs_config.safety_margin = 0.0;
     }
-    vafs_controller_ = std::make_unique<VafsController>(simulator_, tree, binder.dir(), *player_,
-                                                        vafs_config);
+    std::vector<std::string> policy_dirs;
+    for (const auto& b : binders_) policy_dirs.push_back(b->dir());
+    vafs_controller_ = std::make_unique<VafsController>(
+        simulator_, tree, std::move(policy_dirs), router_.get(), *player_, vafs_config);
     vafs_controller_->set_tracer(tracer);  // before attach: traces boot-time fallback
     if (hooks.decision_backend != nullptr) {
       vafs_controller_->set_decision_backend(hooks.decision_backend);
-    }
-    if (router_) {
-      std::vector<std::string> extra_dirs;
-      for (std::size_t i = 1; i < binders_.size(); ++i) extra_dirs.push_back(binders_[i]->dir());
-      vafs_controller_->enable_clusters(std::move(extra_dirs), router_.get());
     }
     if (!vafs_controller_->attach()) {
       throw SessionError("VAFS failed to attach through sysfs (userspace governor rejected)");
@@ -309,9 +290,9 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
   if (config.thermal_enabled) {
     // The sensor sits on the primary cluster — the hottest die area — and
     // the throttle acts on its policy, as vendor thermal drivers do.
-    thermal_model_ = std::make_unique<thermal::ThermalModel>(simulator_, cpu_model,
+    thermal_model_ = std::make_unique<thermal::ThermalModel>(simulator_, *cpus_[0],
                                                              prof.thermal);
-    throttle_ = std::make_unique<thermal::ThermalThrottle>(*thermal_model_, policy,
+    throttle_ = std::make_unique<thermal::ThermalThrottle>(*thermal_model_, *policies_[0],
                                                            config.throttle);
   }
 
@@ -323,17 +304,9 @@ SessionInstance::SessionInstance(const SessionConfig& config, const SessionHooks
   if (hooks.on_ready) {
     SessionLive live;
     live.sim = &simulator_;
-    live.cpu = &cpu_model;
-    live.policy = &policy;
     live.tree = tree_.get();
-    live.radio = radio_.get();
     live.player = player_.get();
-    live.vafs = vafs_controller_.get();
     live.faults = injector_.get();
-    live.thermal = thermal_model_.get();
-    live.router = router_.get();
-    for (const auto& c : cpus_) live.cpus.push_back(c.get());
-    for (const auto& p : policies_) live.policies.push_back(p.get());
     hooks.on_ready(live);
   }
 
@@ -376,7 +349,6 @@ SessionResult SessionInstance::finish() {
     tracer->record(simulator_.now(), obs::EventKind::kSessionEnd);
   }
 
-  cpu::CpuModel& cpu_model = *cpus_[0];
   SessionResult result;
   result.finished = done_;
   result.sim_events = simulator_.events_executed();
@@ -385,21 +357,7 @@ SessionResult SessionInstance::finish() {
   result.wall = result.energy.wall;
   result.played = player_->played();
   result.live_latency = player_->live_latency();
-  result.freq_transitions = cpu_model.transition_count();
-  result.busy_fraction =
-      result.wall > sim::SimTime::zero()
-          ? cpu_model.total_busy_time().as_seconds_f() / result.wall.as_seconds_f()
-          : 0.0;
   result.radio_promotions = radio_->promotion_count();
-
-  const auto& opps = cpu_model.opps();
-  for (std::size_t i = 0; i < opps.size(); ++i) {
-    const double frac = result.wall > sim::SimTime::zero()
-                            ? cpu_model.time_in_state(i).as_seconds_f() /
-                                  result.wall.as_seconds_f()
-                            : 0.0;
-    result.residency.emplace_back(opps.at(i).freq_khz, frac);
-  }
 
   result.fetch_timeouts = downloader_->total_timeouts();
   if (injector_) {

@@ -54,10 +54,9 @@ class SessionInstance {
  private:
   struct PowerProbe;
 
-  // Members are declared in construction order (the order run_session
-  // declared its locals), so reverse member destruction replays the old
-  // stack unwind: every component dies before the simulator it schedules
-  // on.
+  // Members are declared in construction order, so reverse member
+  // destruction unwinds bring-up: every component dies before the
+  // simulator it schedules on.
   const SessionConfig* config_;
   sim::Simulator simulator_;
   sim::Rng master_;
@@ -65,12 +64,13 @@ class SessionInstance {
 
   const device::DeviceProfile* device_ = nullptr;  // config_->profile or its draw
 
+  std::unique_ptr<cpu::GovernorRegistry> registry_;
+  std::unique_ptr<sysfs::Tree> tree_;
+  // Per cluster, in policy order.
   std::vector<std::unique_ptr<cpu::CpuModel>> cpus_;
   std::vector<std::unique_ptr<cpu::CpuidleModel>> cpuidles_;
   std::vector<std::unique_ptr<cpu::CpufreqPolicy>> policies_;
-  std::unique_ptr<cpu::GovernorRegistry> registry_;
   std::shared_ptr<PowerProbe> power_probe_;
-  std::unique_ptr<sysfs::Tree> tree_;
   std::vector<std::unique_ptr<cpu::CpufreqSysfs>> binders_;
   std::unique_ptr<sched::ClusterRouter> router_;
   cpu::CpuSink* sink_ = nullptr;

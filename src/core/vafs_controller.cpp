@@ -45,80 +45,62 @@ static_assert(state_mirror_ok(stream::PlayerState::kFinished, DecisionPlayerStat
 }  // namespace
 
 VafsController::VafsController(sim::Simulator& simulator, sysfs::Tree& tree,
-                               std::string policy_dir, stream::Player& player, VafsConfig config)
-    : sim_(simulator),
-      tree_(tree),
-      dir_(std::move(policy_dir)),
-      player_(player),
-      config_(config) {
+                               std::vector<std::string> policy_dirs,
+                               sched::ClusterRouter* router, stream::Player& player,
+                               VafsConfig config)
+    : sim_(simulator), tree_(tree), player_(player), config_(config), router_(router) {
+  assert(!policy_dirs.empty());
+  assert((router == nullptr ? 1 : router->cluster_count()) == policy_dirs.size() &&
+         "one policy dir per router cluster, in router order");
+  for (auto& dir : policy_dirs) clusters_.push_back(Cluster{std::move(dir), {}, 0});
   player_.add_observer(this);
 }
 
-void VafsController::enable_clusters(std::vector<std::string> extra_policy_dirs,
-                                     sched::ClusterRouter* router) {
-  assert(!attached_ && "enable_clusters must precede attach()");
-  assert(router != nullptr);
-  assert(extra_policy_dirs.size() + 1 == router->cluster_count() &&
-         "one policy dir per non-primary router cluster, in router order");
-  router_ = router;
-  extra_.clear();
-  for (auto& dir : extra_policy_dirs) {
-    ExtraCluster c;
-    c.dir = std::move(dir);
-    extra_.push_back(std::move(c));
+bool VafsController::write_governors(std::string_view governor) {
+  bool all_ok = true;
+  for (const Cluster& c : clusters_) {
+    all_ok = tree_.write(c.dir + "/scaling_governor", governor).ok() && all_ok;
   }
+  return all_ok;
 }
 
 bool VafsController::attach() {
-  const auto avail = tree_.read(dir_ + "/scaling_available_frequencies");
-  if (!avail.ok()) return false;
-  available_khz_ = parse_freq_list(avail.value());
-  if (available_khz_.empty()) return false;
-
-  for (ExtraCluster& c : extra_) {
-    const auto extra_avail = tree_.read(c.dir + "/scaling_available_frequencies");
-    if (!extra_avail.ok()) return false;
-    c.available_khz = parse_freq_list(extra_avail.value());
+  for (Cluster& c : clusters_) {
+    const auto avail = tree_.read(c.dir + "/scaling_available_frequencies");
+    if (!avail.ok()) return false;
+    c.available_khz = parse_freq_list(avail.value());
     if (c.available_khz.empty()) return false;
-    if (!tree_.write(c.dir + "/scaling_governor", "userspace").ok()) return false;
   }
 
   // The frequency tables are known: open the decision stream now, before
   // the governor takeover, so a watchdog boot-fallback still has a live
   // stream accumulating observations for the eventual re-engage.
   DecisionGeometry geometry;
-  geometry.clusters.resize(extra_.size() + 1);
-  geometry.clusters[0].available_khz = available_khz_;
-  for (std::size_t i = 0; i < extra_.size(); ++i) {
-    geometry.clusters[i + 1].available_khz = extra_[i].available_khz;
-  }
-  if (router_ != nullptr) {
-    geometry.routed = true;
-    geometry.primary = static_cast<std::uint32_t>(router_->primary_cluster());
-    geometry.network = static_cast<std::uint32_t>(router_->network_cluster());
-    for (std::size_t c = 0; c < geometry.clusters.size(); ++c) {
+  geometry.clusters.resize(clusters_.size());
+  for (std::size_t c = 0; c < clusters_.size(); ++c) {
+    geometry.clusters[c].available_khz = clusters_[c].available_khz;
+    if (router_ != nullptr) {
       geometry.clusters[c].cycle_penalty = router_->cycle_penalty(c);
       geometry.clusters[c].capacity_khz = router_->capacity_khz(c);
     }
   }
+  if (router_ != nullptr) {
+    geometry.primary = static_cast<std::uint32_t>(router_->primary_cluster());
+    geometry.network = static_cast<std::uint32_t>(router_->network_cluster());
+  }
   DecisionBackend* backend = backend_ != nullptr ? backend_ : &local_backend_;
   stream_ = backend->open(DecisionStreamInfo{config_, std::move(geometry)});
 
-  if (!tree_.write(dir_ + "/scaling_governor", "userspace").ok()) {
-    if (config_.watchdog.enabled) {
-      // Boot straight into safe mode; the hysteresis timer retries the
-      // takeover once the actuation channel recovers.
-      attached_ = true;
-      last_written_khz_ = 0;
-      for (ExtraCluster& c : extra_) c.last_written_khz = 0;
-      enter_fallback(2);
-      return true;
-    }
-    return false;
-  }
+  const bool taken = write_governors("userspace");
+  if (!taken && !config_.watchdog.enabled) return false;
   attached_ = true;
-  last_written_khz_ = 0;
-  for (ExtraCluster& c : extra_) c.last_written_khz = 0;
+  for (Cluster& c : clusters_) c.last_written_khz = 0;
+  if (!taken) {
+    // Boot straight into safe mode; the hysteresis timer retries the
+    // takeover once the actuation channel recovers.
+    enter_fallback(2);
+    return true;
+  }
   plan_now();
   return true;
 }
@@ -132,8 +114,7 @@ void VafsController::detach(std::string_view restore_governor) {
     fallback_ = false;
     if (tracer_ != nullptr) tracer_->record(sim_.now(), obs::EventKind::kFallbackEnd);
   }
-  tree_.write(dir_ + "/scaling_governor", restore_governor);
-  for (const ExtraCluster& c : extra_) tree_.write(c.dir + "/scaling_governor", restore_governor);
+  write_governors(restore_governor);
 }
 
 double VafsController::oracle_decode_hz() const {
@@ -208,11 +189,9 @@ void VafsController::deliver(const DecisionRequest& request) {
 void VafsController::plan_now() { deliver(make_request(DecisionEvent::kReplan)); }
 
 void VafsController::write_cluster_setspeed(std::size_t cluster, std::uint32_t khz) {
-  std::uint32_t& last =
-      cluster == 0 ? last_written_khz_ : extra_[cluster - 1].last_written_khz;
-  const std::string& dir = cluster == 0 ? dir_ : extra_[cluster - 1].dir;
-  if (khz == last) return;
-  const auto status = tree_.write(dir + "/scaling_setspeed", std::to_string(khz));
+  Cluster& c = clusters_[cluster];
+  if (khz == c.last_written_khz) return;
+  const auto status = tree_.write(c.dir + "/scaling_setspeed", std::to_string(khz));
   if (tracer_ != nullptr) {
     tracer_->record(sim_.now(), obs::EventKind::kSetspeedWrite, khz,
                     static_cast<std::uint64_t>(status.error()), cluster);
@@ -224,7 +203,7 @@ void VafsController::write_cluster_setspeed(std::size_t cluster, std::uint32_t k
     return;
   }
   consecutive_write_errors_ = 0;
-  last = khz;
+  c.last_written_khz = khz;
   ++writes_;
 }
 
@@ -263,22 +242,15 @@ void VafsController::enter_fallback(std::uint64_t cause) {
                     static_cast<std::uint64_t>(wd.mode), cause);
   }
   if (wd.mode == VafsWatchdogConfig::Mode::kRestoreGovernor) {
-    tree_.write(dir_ + "/scaling_governor", wd.fallback_governor);
-    for (const ExtraCluster& c : extra_) {
-      tree_.write(c.dir + "/scaling_governor", wd.fallback_governor);
-    }
-  } else if (!available_khz_.empty()) {
+    write_governors(wd.fallback_governor);
+  } else {
     // Pin fmax; best-effort — the actuation channel may be the very thing
     // that is broken, in which case the CPU rides at its last frequency
     // until re-engage replans.
-    if (tree_.write(dir_ + "/scaling_setspeed", std::to_string(available_khz_.back())).ok()) {
-      last_written_khz_ = available_khz_.back();
-    }
-    for (ExtraCluster& c : extra_) {
-      if (!c.available_khz.empty() &&
-          tree_.write(c.dir + "/scaling_setspeed", std::to_string(c.available_khz.back()))
-              .ok()) {
-        c.last_written_khz = c.available_khz.back();
+    for (Cluster& c : clusters_) {
+      const std::uint32_t fmax = c.available_khz.back();
+      if (tree_.write(c.dir + "/scaling_setspeed", std::to_string(fmax)).ok()) {
+        c.last_written_khz = fmax;
       }
     }
   }
@@ -294,15 +266,10 @@ void VafsController::try_reengage() {
     reengage_event_ = sim_.after(clean_at - sim_.now(), [this] { try_reengage(); });
     return;
   }
-  if (wd.mode == VafsWatchdogConfig::Mode::kRestoreGovernor) {
-    bool all_ok = tree_.write(dir_ + "/scaling_governor", "userspace").ok();
-    for (const ExtraCluster& c : extra_) {
-      all_ok = tree_.write(c.dir + "/scaling_governor", "userspace").ok() && all_ok;
-    }
-    if (!all_ok) {
-      reengage_event_ = sim_.after(wd.hysteresis, [this] { try_reengage(); });
-      return;
-    }
+  if (wd.mode == VafsWatchdogConfig::Mode::kRestoreGovernor &&
+      !write_governors("userspace")) {
+    reengage_event_ = sim_.after(wd.hysteresis, [this] { try_reengage(); });
+    return;
   }
   fallback_accum_ += sim_.now() - fallback_since_;
   fallback_ = false;
@@ -312,8 +279,7 @@ void VafsController::try_reengage() {
   miss_window_start_ = sim_.now();
   // The governor switch reset the frequency out from under us: force the
   // next plan to rewrite whatever it targets.
-  last_written_khz_ = 0;
-  for (ExtraCluster& c : extra_) c.last_written_khz = 0;
+  for (Cluster& c : clusters_) c.last_written_khz = 0;
   plan_now();
 }
 

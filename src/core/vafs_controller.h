@@ -49,34 +49,34 @@ namespace vafs::core {
 
 class VafsController final : public stream::PlayerObserver {
  public:
-  /// `policy_dir` is the sysfs policy directory, e.g.
-  /// "devices/system/cpu/cpufreq/policy0". The controller registers itself
-  /// as a player observer. Call attach() to take control of the CPU.
-  VafsController(sim::Simulator& simulator, sysfs::Tree& tree, std::string policy_dir,
+  /// `policy_dirs` are the sysfs policy directories of every cluster, in
+  /// cluster order, e.g. {"devices/system/cpu/cpufreq/policy0", ...}.
+  /// `router` places decode across them and is null on one cluster; with
+  /// it, each re-plan chooses the decode cluster: the least capable one
+  /// whose IPC-inflated demand (plus the network stack's, when they share
+  /// a cluster) fits under its top OPP with margin, the router's primary
+  /// cluster otherwise. The controller registers itself as a player
+  /// observer. Call attach() to take control of the CPU.
+  VafsController(sim::Simulator& simulator, sysfs::Tree& tree,
+                 std::vector<std::string> policy_dirs, sched::ClusterRouter* router,
                  stream::Player& player, VafsConfig config = {});
 
   VafsController(const VafsController&) = delete;
   VafsController& operator=(const VafsController&) = delete;
-
-  /// Multi-cluster mode: also control the policies of clusters 1..N-1 (at
-  /// `extra_policy_dirs`, one per non-primary router cluster, in router
-  /// index order) and place decode via `router`. Call before attach().
-  /// Planning then chooses the decode cluster each re-plan: the least
-  /// capable cluster whose IPC-inflated demand (plus the network stack's,
-  /// when they share a cluster) fits under its top OPP with margin, the
-  /// primary cluster otherwise.
-  void enable_clusters(std::vector<std::string> extra_policy_dirs, sched::ClusterRouter* router);
 
   /// Route decisions through `backend` (not owned, must outlive the
   /// controller) instead of the in-process default. Call before attach():
   /// the stream opens there, once the device geometry is known.
   void set_decision_backend(DecisionBackend* backend) { backend_ = backend; }
 
-  /// Switches the policy to the userspace governor (via sysfs) and writes
-  /// the first plan. Returns false if the sysfs writes were rejected.
+  /// Switches every policy to the userspace governor (via sysfs) and
+  /// writes the first plan. Returns false if a frequency table cannot be
+  /// read, or if a governor write is rejected with the watchdog off (with
+  /// it on, the controller boots into fallback instead).
   bool attach();
 
-  /// Restores `governor` (e.g. "ondemand") and stops planning.
+  /// Restores `governor` (e.g. "ondemand") on every policy and stops
+  /// planning.
   void detach(std::string_view restore_governor);
 
   /// Re-evaluates the plan and writes scaling_setspeed if it changed.
@@ -92,7 +92,8 @@ class VafsController final : public stream::PlayerObserver {
 
   std::uint64_t plan_count() const { return plans_; }
   std::uint64_t setspeed_writes() const { return writes_; }
-  std::uint32_t last_planned_khz() const { return last_written_khz_; }
+  /// Last frequency written to cluster 0's policy (0 before any write).
+  std::uint32_t last_planned_khz() const { return clusters_.front().last_written_khz; }
 
   /// Watchdog state: currently failed over to safe mode?
   bool in_fallback() const { return fallback_; }
@@ -113,12 +114,6 @@ class VafsController final : public stream::PlayerObserver {
   /// a remote stream answers this with a stats round trip.
   double decode_mape();
   const VafsConfig& config() const { return config_; }
-  /// Clusters under control: 1 single-cluster, router cluster count otherwise.
-  std::size_t cluster_count() const { return extra_.size() + 1; }
-  /// Last frequency written to cluster `c`'s policy (0 before any write).
-  std::uint32_t last_planned_khz(std::size_t c) const {
-    return c == 0 ? last_written_khz_ : extra_[c - 1].last_written_khz;
-  }
 
   // ---- PlayerObserver ----
 
@@ -138,10 +133,9 @@ class VafsController final : public stream::PlayerObserver {
   /// trace the plan, route decode, write setspeed per cluster (deduped).
   void deliver(const DecisionRequest& request);
   double oracle_decode_hz() const;
-  const std::vector<std::uint32_t>& available(std::size_t cluster) const {
-    return cluster == 0 ? available_khz_ : extra_[cluster - 1].available_khz;
-  }
   void write_cluster_setspeed(std::size_t cluster, std::uint32_t khz);
+  /// Writes `governor` to every policy; true iff every write was accepted.
+  bool write_governors(std::string_view governor);
   void note_write_failure();
   void note_deadline_miss();
   /// `cause`: 0 = consecutive write errors, 1 = deadline misses, 2 = the
@@ -151,7 +145,6 @@ class VafsController final : public stream::PlayerObserver {
 
   sim::Simulator& sim_;
   sysfs::Tree& tree_;
-  std::string dir_;
   stream::Player& player_;
   VafsConfig config_;
   obs::Tracer* tracer_ = nullptr;
@@ -162,19 +155,18 @@ class VafsController final : public stream::PlayerObserver {
   LocalDecisionBackend local_backend_;
   std::unique_ptr<DecisionStream> stream_;
 
-  // Multi-cluster mode (null/empty when single-cluster). extra_[i] is
-  // router cluster i+1; cluster 0 is the controller's own policy_dir.
-  struct ExtraCluster {
+  // One entry per policy, in cluster order; the router (null on one
+  // cluster) places decode across them.
+  struct Cluster {
     std::string dir;
     std::vector<std::uint32_t> available_khz;  // parsed from sysfs, ascending
     std::uint32_t last_written_khz = 0;
   };
-  sched::ClusterRouter* router_ = nullptr;
-  std::vector<ExtraCluster> extra_;
+  std::vector<Cluster> clusters_;
+  sched::ClusterRouter* router_;
 
   bool attached_ = false;
   bool downloading_ = false;
-  std::vector<std::uint32_t> available_khz_;  // parsed from sysfs, ascending
 
   /// Oracle GOP-scan memo: the last (rep, window) summed by
   /// oracle_decode_hz() and its result, reused while the window is unmoved.
@@ -183,7 +175,6 @@ class VafsController final : public stream::PlayerObserver {
   mutable std::uint64_t gop_end_ = 0;
   mutable double gop_cycles_ = 0.0;
 
-  std::uint32_t last_written_khz_ = 0;
   std::uint64_t plans_ = 0;
   std::uint64_t writes_ = 0;
 

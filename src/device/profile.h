@@ -13,8 +13,10 @@
 //     the primary cluster (sysfs policy0, decode's default home, the
 //     thermal sensor's location);
 //   - `cycle_penalty` expresses IPC relative to the reference big core the
-//     content model's cycle counts are calibrated against: a task of N
-//     reference cycles needs penalty·N cycles on that cluster;
+//     content model's cycle counts are calibrated against: on a
+//     multi-cluster device, a task of N reference cycles needs penalty·N
+//     cycles on that cluster. A one-cluster device builds no router, so
+//     its tasks run unscaled and its penalty reaches nothing;
 //   - capacity_khz = f_max / penalty is the cluster's retire rate for
 //     reference-cycle work, the single number placement decisions use.
 //
@@ -43,8 +45,10 @@ struct ClusterSpec {
   std::string name;  // "big", "little", "prime", ...
   cpu::OppTable opps;
   cpu::PowerModelParams power;
-  /// Reference-cycle inflation (>= lower IPC than the reference big core;
-  /// < 1 = higher IPC, e.g. a flagship prime core).
+  /// Reference-cycle inflation (> 1 = lower IPC than the reference big
+  /// core; < 1 = higher IPC, e.g. a flagship prime core). Applied by the
+  /// ClusterRouter and VAFS's placement, so only on multi-cluster devices:
+  /// a one-cluster device runs tasks unscaled whatever its penalty.
   double cycle_penalty = 1.0;
   /// DVFS transition latency of this cluster's policy.
   sim::SimTime transition_latency = sim::SimTime::micros(150);

@@ -22,8 +22,9 @@ void Aggregate::session_values(const core::SessionResult& r, double* out) {
   out[i++] = static_cast<double>(r.qoe.deadline_misses);
   out[i++] = static_cast<double>(r.qoe.quality_switches);
   out[i++] = r.qoe.mean_bitrate_kbps;
-  out[i++] = static_cast<double>(r.freq_transitions);
-  out[i++] = r.busy_fraction;
+  // The single-core metrics are the primary cluster's (clusters[0]).
+  out[i++] = static_cast<double>(r.clusters[0].freq_transitions);
+  out[i++] = r.clusters[0].busy_fraction;
   out[i++] = r.wall.as_seconds_f();
   out[i++] = r.live_latency.as_seconds_f();
   out[i++] = static_cast<double>(r.radio_promotions);
@@ -47,7 +48,7 @@ void Aggregate::session_values(const core::SessionResult& r, double* out) {
   }
   out[i++] = little_mj;
   out[i++] = static_cast<double>(little_transitions);
-  out[i++] = static_cast<double>(r.clusters.empty() ? 0 : r.clusters[0].decode_frames);
+  out[i++] = static_cast<double>(r.clusters[0].decode_frames);
   out[i++] = static_cast<double>(little_frames);
   out[i++] = static_cast<double>(r.decode_migrations);
   out[i++] = static_cast<double>(r.qoe.fetch_retries);

@@ -72,7 +72,8 @@ struct Aggregate {
   void add(const core::SessionResult& r);
   /// Extracts the per-metric scalars of one session into out[kMetricCount],
   /// declaration order — the canonical flattening used by add(), the
-  /// supervisor wire protocol and the spool.
+  /// supervisor wire protocol and the spool. `r` comes from a session, so
+  /// it reports at least one cluster.
   static void session_values(const core::SessionResult& r, double* out);
   /// Folds a pre-extracted value vector (from session_values).
   void add_values(const double* values, bool finished);

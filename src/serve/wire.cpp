@@ -183,7 +183,6 @@ void encode_stream_info(std::vector<std::uint8_t>& out, const core::DecisionStre
   }
   w.u32(g.primary);
   w.u32(g.network);
-  w.u8(g.routed ? 1 : 0);
 }
 
 bool decode_stream_info(const std::uint8_t* data, std::size_t size,
@@ -237,14 +236,10 @@ bool decode_stream_info(const std::uint8_t* data, std::size_t size,
     r.f64(cl.cycle_penalty);
     r.f64(cl.capacity_khz);
   }
-  std::uint8_t routed = 0;
   r.u32(g.primary);
   r.u32(g.network);
-  r.u8(routed);
   if (!r.ok()) return false;
-  g.routed = routed != 0;
-  if (g.routed && (g.primary >= n || g.network >= n)) return false;
-  return true;
+  return g.primary < n && g.network < n;
 }
 
 // ---- DecisionRequest -----------------------------------------------------

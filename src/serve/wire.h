@@ -42,7 +42,9 @@ namespace vafs::serve {
 
 inline constexpr std::uint8_t kWireMagic0 = 'V';
 inline constexpr std::uint8_t kWireMagic1 = 'F';
-inline constexpr std::uint8_t kWireVersion = 1;
+/// 2: the stream geometry dropped its `routed` byte (one plan serves every
+/// cluster count), so a version-1 peer is refused rather than misread.
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kWireHeaderSize = 24;
 /// Generous cap: the largest legitimate payload (Hello with 8 clusters of
 /// long OPP tables) is well under 4 KiB.

@@ -5,7 +5,10 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/predictor.h"
 #include "core/vafs_controller.h"
@@ -82,6 +85,90 @@ TEST(Predictor, KindNames) {
   EXPECT_STREQ(predictor_kind_name(PredictorKind::kQuantile), "quantile");
 }
 
+// ------------------------------------------------------------ DecisionCore
+
+/// The midrange pair: big (primary) and LITTLE (network stack).
+DecisionGeometry big_little_geometry() {
+  DecisionGeometry g;
+  g.clusters.push_back(
+      {{600'000, 900'000, 1'200'000, 1'500'000, 1'800'000, 2'100'000}, 1.0, 2'100'000.0});
+  g.clusters.push_back({{300'000, 600'000, 900'000, 1'200'000, 1'400'000}, 1.7,
+                        1'400'000.0 / 1.7});
+  g.primary = 0;
+  g.network = 1;
+  return g;
+}
+
+/// One plan mid-playback with a 20 Mbps download in flight, after
+/// `warm_frames` P-frame observations of 40 Mcycles each (1.2 GHz of
+/// decode at 30 fps, more than LITTLE can retire).
+DecisionResponse plan_while_downloading(const DecisionGeometry& geometry, bool race_to_idle,
+                                        int warm_frames) {
+  VafsConfig config;
+  config.race_to_idle_downloads = race_to_idle;
+  DecisionCore core(config, geometry);
+  DecisionRequest req;
+  req.player_state = DecisionPlayerState::kPlaying;
+  req.frame_period_us = 33'333;
+  req.current_rep = 2;
+  req.decoded_ahead = 10;
+  req.decoded_frames = 10;
+  req.total_frames = 900;
+  req.event = DecisionEvent::kDecodeComplete;
+  req.want_plan = false;
+  req.observe_rep = 2;
+  req.observe_cycles = 40e6;
+  for (int i = 0; i < warm_frames; ++i) core.decide(req);
+  req.event = DecisionEvent::kReplan;
+  req.want_plan = true;
+  req.downloading = true;
+  req.throughput_mbps = 20.0;
+  return core.decide(req);
+}
+
+TEST(DecisionCore, RefusesRolesOutsideTheGeometry) {
+  DecisionGeometry big_little = big_little_geometry();
+  big_little.network = 2;
+  EXPECT_THROW(DecisionCore(VafsConfig{}, big_little), std::invalid_argument);
+  // One cluster has roles too: both must be cluster 0.
+  DecisionGeometry one;
+  one.clusters.push_back(big_little.clusters[0]);
+  one.primary = 1;
+  EXPECT_THROW(DecisionCore(VafsConfig{}, one), std::invalid_argument);
+}
+
+TEST(DecisionCore, RaceToIdleAblationRunsOnlyTheNetworkClusterFlatOut) {
+  const DecisionGeometry geometry = big_little_geometry();
+  const DecisionResponse race = plan_while_downloading(geometry, true, 3);
+  const DecisionResponse burst = plan_while_downloading(geometry, false, 3);
+  ASSERT_TRUE(race.planned);
+  ASSERT_TRUE(burst.planned);
+  ASSERT_EQ(burst.cluster_count, 2u);
+  // Decode does not fit LITTLE and stays on big in both arms.
+  EXPECT_EQ(race.decode_cluster, 0u);
+  EXPECT_EQ(burst.decode_cluster, 0u);
+  // Protocol processing alone fits LITTLE's floor; the ablation runs it at
+  // LITTLE's top OPP and leaves big's decode plan as it was.
+  EXPECT_EQ(race.target_khz[1], 300'000u);
+  EXPECT_EQ(burst.target_khz[1], 1'400'000u);
+  EXPECT_EQ(burst.target_khz[0], race.target_khz[0]);
+  EXPECT_EQ(race.target_khz[0], 1'500'000u);
+}
+
+TEST(DecisionCore, RaceToIdleAblationPlansFmaxOnOneCluster) {
+  // One cluster is both the decode and the network cluster: the ablation
+  // plans its top OPP, from cold start on.
+  DecisionGeometry geometry;
+  geometry.clusters.push_back(big_little_geometry().clusters[0]);
+  for (const int warm_frames : {0, 3}) {
+    const DecisionResponse race = plan_while_downloading(geometry, true, warm_frames);
+    const DecisionResponse burst = plan_while_downloading(geometry, false, warm_frames);
+    ASSERT_EQ(burst.cluster_count, 1u);
+    EXPECT_EQ(race.target_khz[0], 1'500'000u) << warm_frames;
+    EXPECT_EQ(burst.target_khz[0], 2'100'000u) << warm_frames;
+  }
+}
+
 // ---------------------------------------------------------- VafsController
 
 /// The full device stack as a plain value so tests can build fresh worlds
@@ -102,8 +189,8 @@ struct VafsWorld {
   VafsController& make_controller(std::size_t rep, VafsConfig config = {}) {
     player_ = std::make_unique<stream::Player>(sim_, cpu_, *downloader_, content_,
                                                std::make_unique<stream::FixedAbr>(rep));
-    controller_ = std::make_unique<VafsController>(sim_, tree_, binder_->dir(), *player_,
-                                                   config);
+    controller_ = std::make_unique<VafsController>(
+        sim_, tree_, std::vector<std::string>{binder_->dir()}, nullptr, *player_, config);
     return *controller_;
   }
 
@@ -144,7 +231,7 @@ TEST_F(VafsTest, AttachSwitchesToUserspaceViaSysfs) {
 TEST_F(VafsTest, AttachFailsWithoutPolicyDirectory) {
   player_ = std::make_unique<stream::Player>(sim_, cpu_, *downloader_, content_,
                                              std::make_unique<stream::FixedAbr>(0));
-  VafsController ctl(sim_, tree_, "devices/no/such/policy", *player_);
+  VafsController ctl(sim_, tree_, {"devices/no/such/policy"}, nullptr, *player_);
   EXPECT_FALSE(ctl.attach());
 }
 

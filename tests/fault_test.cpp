@@ -403,11 +403,11 @@ TEST(FaultSession, ThermalCapWritesScalingMaxFreq) {
   // performance normally never leaves fmax; with caps it must have spent
   // time at or below the capped OPP.
   double below_max = 0.0;
-  for (const auto& [khz, frac] : result.residency) {
+  for (const auto& [khz, frac] : result.clusters[0].residency) {
     if (khz < 2'100'000u) below_max += frac;
   }
   EXPECT_GT(below_max, 0.0);
-  EXPECT_GT(result.freq_transitions, 0u);
+  EXPECT_GT(result.clusters[0].freq_transitions, 0u);
 }
 
 TEST(FaultSession, FaultFreeResultsUnchangedByFaultCodePath) {

@@ -188,10 +188,12 @@ TEST_P(SessionFuzz, RandomConfigurationsSatisfyInvariants) {
   EXPECT_GT(r.energy.radio_mj, 0.0);
   EXPECT_GT(r.energy.total_mj(), r.energy.cpu_mj);
 
-  // Residency is a distribution.
-  double frac_sum = 0.0;
-  for (const auto& [khz, frac] : r.residency) frac_sum += frac;
-  EXPECT_NEAR(frac_sum, 1.0, 1e-6);
+  // Every cluster's residency is a distribution.
+  for (const auto& c : r.clusters) {
+    double frac_sum = 0.0;
+    for (const auto& [khz, frac] : c.residency) frac_sum += frac;
+    EXPECT_NEAR(frac_sum, 1.0, 1e-6) << c.name;
+  }
 
   // big.LITTLE bookkeeping is consistent. Every *presented* frame was
   // decoded on one of the clusters; when frames are dropped the session
@@ -268,10 +270,13 @@ TEST_P(FaultFuzz, RandomFaultPlansNeverWedgeAndStayDeterministic) {
       std::llround(config.media_duration.as_seconds_f() * 30.0));
   EXPECT_EQ(r.qoe.frames_presented + r.qoe.frames_dropped, total);
 
-  // Residency is still a distribution and energy is still positive.
-  double frac_sum = 0.0;
-  for (const auto& [khz, frac] : r.residency) frac_sum += frac;
-  EXPECT_NEAR(frac_sum, 1.0, 1e-6);
+  // Every cluster's residency is still a distribution and energy is
+  // still positive.
+  for (const auto& c : r.clusters) {
+    double frac_sum = 0.0;
+    for (const auto& [khz, frac] : c.residency) frac_sum += frac;
+    EXPECT_NEAR(frac_sum, 1.0, 1e-6) << c.name;
+  }
   EXPECT_GT(r.energy.cpu_mj, 0.0);
 
   // Injection bookkeeping is internally consistent: every timed-out

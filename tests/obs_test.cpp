@@ -170,9 +170,7 @@ void expect_results_identical(const core::SessionResult& a, const core::SessionR
   EXPECT_EQ(a.qoe.frames_presented, b.qoe.frames_presented);
   EXPECT_EQ(a.qoe.frames_dropped, b.qoe.frames_dropped);
   EXPECT_EQ(a.qoe.rebuffer_events, b.qoe.rebuffer_events);
-  EXPECT_EQ(a.freq_transitions, b.freq_transitions);
-  EXPECT_EQ(a.busy_fraction, b.busy_fraction);  // exact
-  EXPECT_EQ(a.residency, b.residency);          // exact, element-wise
+  EXPECT_EQ(a.clusters, b.clusters);  // exact, field by field
   EXPECT_EQ(a.vafs_plans, b.vafs_plans);
   EXPECT_EQ(a.vafs_setspeed_writes, b.vafs_setspeed_writes);
   EXPECT_EQ(a.fault_windows, b.fault_windows);

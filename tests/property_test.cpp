@@ -54,7 +54,7 @@ TEST_P(SessionGrid, InvariantsHold) {
 
   // Residency fractions form a distribution over the OPPs.
   double total = 0.0;
-  for (const auto& [khz, frac] : r.residency) {
+  for (const auto& [khz, frac] : r.clusters[0].residency) {
     EXPECT_GE(frac, 0.0);
     EXPECT_LE(frac, 1.0 + 1e-9);
     total += frac;
@@ -62,15 +62,15 @@ TEST_P(SessionGrid, InvariantsHold) {
   EXPECT_NEAR(total, 1.0, 1e-6);
 
   // Busy fraction is a fraction.
-  EXPECT_GT(r.busy_fraction, 0.0);
-  EXPECT_LE(r.busy_fraction, 1.0);
+  EXPECT_GT(r.clusters[0].busy_fraction, 0.0);
+  EXPECT_LE(r.clusters[0].busy_fraction, 1.0);
 
   // The radio connected at least once.
   EXPECT_GE(r.radio_promotions, 1u);
 
   // Fixed-frequency governors never transition after startup.
   if (governor == "performance" || governor == "powersave") {
-    EXPECT_LE(r.freq_transitions, 1u);
+    EXPECT_LE(r.clusters[0].freq_transitions, 1u);
   }
 }
 

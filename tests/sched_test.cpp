@@ -184,6 +184,20 @@ TEST(BigLittleSession, VafsBigLittleBeatsSingleClusterAtLowQuality) {
   EXPECT_LT(bl.qoe.drop_ratio(), 0.01);
 }
 
+TEST(BigLittleSession, RaceToIdleAblationBurnsMoreEnergy) {
+  // The ablated arm runs the network cluster at its top OPP while a
+  // download is in flight, as a load-following governor would.
+  auto config = bl_config("vafs", 2);
+  config.media_duration = sim::SimTime::seconds(30);
+  config.vafs.race_to_idle_downloads = true;
+  const auto race = core::run_session(config);
+  config.vafs.race_to_idle_downloads = false;
+  const auto burst = core::run_session(config);
+  ASSERT_TRUE(race.finished);
+  ASSERT_TRUE(burst.finished);
+  EXPECT_LT(race.energy.cpu_mj, burst.energy.cpu_mj);
+}
+
 TEST(BigLittleSession, EnergySplitsAcrossClusters) {
   const auto r = core::run_session(bl_config("vafs", 2));
   ASSERT_TRUE(r.finished);

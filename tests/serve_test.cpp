@@ -313,6 +313,56 @@ TEST_P(ServeDifferential, DaemonDigestsMatchInProcessBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Concurrency, ServeDifferential, ::testing::Values(1, 8, 64));
 
+// A Hello whose roles name a cluster the geometry lacks is refused by the
+// decoder, whatever the cluster count.
+TEST(ServeWire, HelloWithRolesOutsideTheGeometryIsRefused) {
+  core::DecisionStreamInfo info = test_stream_info();  // one cluster
+  core::DecisionStreamInfo decoded;
+  std::vector<std::uint8_t> payload;
+  serve::encode_stream_info(payload, info);
+  ASSERT_TRUE(serve::decode_stream_info(payload.data(), payload.size(), decoded));
+  info.geometry.network = 1;
+  payload.clear();
+  serve::encode_stream_info(payload, info);
+  EXPECT_FALSE(serve::decode_stream_info(payload.data(), payload.size(), decoded));
+}
+
+// The corpus runs the one-cluster default device. Multi-cluster devices
+// send per-cluster tables, penalties, capacities and the primary/network
+// roles over the wire and get one target per cluster back; each served
+// session must still match its in-process digest.
+TEST(ServeMultiCluster, DaemonDigestsMatchInProcessBitwise) {
+  std::vector<golden::GoldenCase> cases;
+  for (const char* device : {"midrange", "flagship"}) {
+    for (const core::NetProfile net : {core::NetProfile::kFair, core::NetProfile::kPoor}) {
+      for (const bool race_to_idle : {true, false}) {
+        core::SessionConfig config;
+        config.governor = "vafs";
+        config.profile = device::profile(device);
+        config.seed = golden::kGoldenSeed;
+        config.media_duration = sim::SimTime::seconds(20);
+        config.net = net;
+        config.vafs.race_to_idle_downloads = race_to_idle;
+        cases.push_back({std::string(device) + "." + core::net_profile_name(net) +
+                             (race_to_idle ? "" : ".burst"),
+                         config});
+      }
+    }
+  }
+
+  serve::Server server({unique_socket_path("multi"), 16, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  serve::SocketBackend backend(server.socket_path());
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(run_case_digest(c, &backend), run_case_digest(c, nullptr));
+  }
+  server.stop();
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.streams_opened, cases.size());
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
 // A client wedged mid-frame (header sent, payload never arrives) must not
 // perturb concurrent streams: connections are fully isolated, so every
 // other session still matches its in-process digest.
@@ -462,6 +512,29 @@ TEST(ServeFraming, DribbledFrameGetsExactlyOneReply) {
   close(fd);
   server.stop();
   EXPECT_EQ(server.stats().requests, 1u);
+}
+
+// A Hello from a version-1 peer, whose geometry carried one more byte, is
+// refused from its header: a kBadVersion error frame, then a close.
+TEST(ServeFraming, OldVersionPeerGetsBadVersionAndAClose) {
+  serve::Server server({unique_socket_path("version"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  std::vector<std::uint8_t> frame = hello_frame(0);
+  frame[6] = serve::kWireVersion - 1;  // the version byte
+  ASSERT_TRUE(send_bytes(fd, frame));
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  ASSERT_EQ(header.type, serve::MsgType::kError);
+  serve::WireError code = serve::WireError::kNone;
+  ASSERT_TRUE(serve::decode_error(payload.data(), payload.size(), code));
+  EXPECT_EQ(code, serve::WireError::kBadVersion);
+  EXPECT_TRUE(reads_eof(fd));
+  close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().streams_opened, 0u);
 }
 
 // stop() lands while half a Decide frame is buffered: the connection keeps

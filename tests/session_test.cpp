@@ -87,7 +87,7 @@ TEST(SessionSmoke, DeterministicAcrossRuns) {
 
   EXPECT_EQ(a.energy.cpu_mj, b.energy.cpu_mj);
   EXPECT_EQ(a.qoe.frames_presented, b.qoe.frames_presented);
-  EXPECT_EQ(a.freq_transitions, b.freq_transitions);
+  EXPECT_EQ(a.clusters[0].freq_transitions, b.clusters[0].freq_transitions);
   EXPECT_EQ(a.wall.as_micros(), b.wall.as_micros());
 }
 
