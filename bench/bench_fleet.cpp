@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   }
   fopts.checkpoint_dir = options.checkpoint_dir;
   fopts.resume = options.resume;
-  fopts.trace = options.trace_flag != 0;  // default on: the digest chain IS the result
+  fopts.trace = options.trace;  // default on: the digest chain IS the result
   fopts.task_timeout_ms = options.task_timeout_ms;
   if (options.spool == "csv") fopts.spool.format = fleet::SpoolFormat::kCsv;
   if (options.spool == "jsonl") fopts.spool.format = fleet::SpoolFormat::kJsonl;

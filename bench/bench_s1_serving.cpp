@@ -20,9 +20,6 @@
 //
 //   bench_s1_serving --quick             # smoke: short sessions, 1 wave
 //   bench_s1_serving --serve /run/vafsd.sock   # drive an external daemon
-//
-// tools/check_perf.py gates the `extra` metrics (s1:*) against
-// bench/baselines/serving_baseline.json.
 #include <unistd.h>
 
 #include <algorithm>
@@ -216,7 +213,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::uint64_t> seeds = options.fleet_seeds();
   const std::size_t tasks = scenarios.size() * seeds.size();
-  const bool tracing = options.trace_flag != 0;  // default on: the digest chain IS the proof
+  const bool tracing = options.trace;  // default on: the digest chain IS the proof
 
   // ---- The daemon under test.
   std::unique_ptr<serve::Server> server;

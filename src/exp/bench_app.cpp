@@ -9,9 +9,8 @@
 
 namespace vafs::exp {
 
-BenchApp::BenchApp(int argc, char** argv, std::string bench_id, std::string title,
-                   bool default_trace)
-    : bench_id_(std::move(bench_id)), title_(std::move(title)), default_trace_(default_trace) {
+BenchApp::BenchApp(int argc, char** argv, std::string bench_id, std::string title)
+    : bench_id_(std::move(bench_id)), title_(std::move(title)) {
   std::string error;
   if (!parse_bench_args(argc, argv, &options_, &error)) {
     std::fprintf(stderr, "%s\n%s", error.c_str(), bench_usage(bench_id_).c_str());

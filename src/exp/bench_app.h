@@ -23,22 +23,15 @@ class BenchApp {
  public:
   /// Parses argv; on --help or a flag error, prints usage and exits the
   /// process (benches have no other CLI to fall back to).
-  /// `default_trace` is what --trace/--no-trace default to when neither is
-  /// given: digest tracers cost a few instructions per event, so perf
-  /// benches (bench_throughput) opt out to keep their baseline honest.
-  BenchApp(int argc, char** argv, std::string bench_id, std::string title,
-           bool default_trace = true);
+  BenchApp(int argc, char** argv, std::string bench_id, std::string title);
 
   BenchApp(const BenchApp&) = delete;
   BenchApp& operator=(const BenchApp&) = delete;
 
   const BenchOptions& options() const { return options_; }
   bool quick() const { return options_.quick; }
-  /// Whether runs get digest tracers attached (--trace / --no-trace /
-  /// the bench's default, in that order of precedence).
-  bool tracing() const {
-    return options_.trace_flag < 0 ? default_trace_ : options_.trace_flag != 0;
-  }
+  /// Whether runs get digest tracers attached (on unless --no-trace).
+  bool tracing() const { return options_.trace; }
   const std::vector<std::uint64_t>& seeds() const { return seeds_; }
   int jobs() const { return options_.effective_jobs(); }
 
@@ -64,7 +57,6 @@ class BenchApp {
   std::string bench_id_;
   std::string title_;
   BenchOptions options_;
-  bool default_trace_ = true;
   std::vector<std::uint64_t> seeds_;
   std::deque<Section> sections_;  // deque: stable references across run() calls
   Json extra_ = Json::object();

@@ -115,9 +115,9 @@ bool parse_bench_args(int argc, char** argv, BenchOptions* options, std::string*
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       options->out_csv = value;
     } else if (arg == "--trace") {
-      options->trace_flag = 1;
+      options->trace = true;
     } else if (arg == "--no-trace") {
-      options->trace_flag = 0;
+      options->trace = false;
     } else if (arg == "--trace-out") {
       if (!next_value(i, arg, inline_value, has_inline, &value)) return false;
       options->trace_out = value;

@@ -5,7 +5,7 @@
 //   --quick         first seed only + shortened sessions (smoke mode)
 //   --out-json P    JSON artifact path ("none" disables; default BENCH_<id>.json)
 //   --out-csv P     CSV artifact path ("none" disables; default BENCH_<id>.csv)
-//   --trace / --no-trace   force per-run trace digests on/off (default: per bench)
+//   --trace / --no-trace   per-run trace digests on (the default) / off
 //   --trace-out P   Chrome trace JSON of one captured session ("none" disables)
 //   --help          usage
 #pragma once
@@ -22,8 +22,8 @@ struct BenchOptions {
   bool quick = false;
   std::string out_json;  // empty = default path, "none" = disabled
   std::string out_csv;
-  /// -1 = bench default, 0 = forced off (--no-trace), 1 = forced on (--trace).
-  int trace_flag = -1;
+  /// Per-run trace digests: on unless --no-trace (--trace restates the default).
+  bool trace = true;
   /// Chrome trace output path for the captured session; empty = default
   /// (BENCH_<id>.trace.json), "none" = no capture.
   std::string trace_out = "none";

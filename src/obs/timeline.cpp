@@ -1,45 +1,6 @@
 #include "obs/timeline.h"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
-
 namespace vafs::obs {
-
-FixedBinHistogram::FixedBinHistogram(HistogramSpec spec)
-    : spec_(spec),
-      width_((spec.hi - spec.lo) / static_cast<double>(spec.bins > 0 ? spec.bins : 1)),
-      counts_(spec.bins > 0 ? spec.bins : 1, 0) {
-  assert(spec.hi > spec.lo);
-}
-
-void FixedBinHistogram::add(double value) {
-  std::size_t bin;
-  if (value < spec_.lo) {
-    bin = 0;
-  } else if (value >= spec_.hi) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((value - spec_.lo) / width_);
-    bin = std::min(bin, counts_.size() - 1);  // guard hi-adjacent rounding
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-void FixedBinHistogram::merge(const FixedBinHistogram& other) {
-  assert(spec_ == other.spec_ && "histogram merge requires matching specs");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double FixedBinHistogram::bin_lo(std::size_t bin) const {
-  return spec_.lo + width_ * static_cast<double>(bin);
-}
-
-double FixedBinHistogram::bin_hi(std::size_t bin) const {
-  return bin + 1 == counts_.size() ? spec_.hi : spec_.lo + width_ * static_cast<double>(bin + 1);
-}
 
 const char* series_name(SeriesId id) {
   switch (id) {
@@ -59,55 +20,6 @@ const char* series_unit(SeriesId id) {
     case SeriesId::kCpuPowerMw: return "mW";
   }
   return "?";
-}
-
-HistogramSpec series_histogram_spec(SeriesId id) {
-  switch (id) {
-    case SeriesId::kFreqKhz: return {0.0, 3.2e6, 32};
-    case SeriesId::kBufferSeconds: return {0.0, 30.0, 30};
-    case SeriesId::kBandwidthMbps: return {0.0, 80.0, 40};
-    case SeriesId::kCpuPowerMw: return {0.0, 4000.0, 40};
-  }
-  return {};
-}
-
-void Series::push(sim::SimTime at, double value) {
-  samples_.push_back(Sample{at.as_micros(), value});
-  hist_.add(value);
-  stats_.add(value);
-}
-
-namespace {
-
-/// Total order on samples: time, then value bit pattern. Bit comparison
-/// makes merges of equal-time samples deterministic regardless of the
-/// merge grouping (IEEE `<` would leave NaNs and ±0.0 unordered).
-bool sample_less(const Sample& x, const Sample& y) {
-  if (x.t_us != y.t_us) return x.t_us < y.t_us;
-  return std::bit_cast<std::uint64_t>(x.value) < std::bit_cast<std::uint64_t>(y.value);
-}
-
-}  // namespace
-
-void Series::merge(const Series& other) {
-  // Concatenate + sort rather than std::merge: a session may push several
-  // samples at one instant in non-bit order, so the inputs are only sorted
-  // by time. Sorting the union under the total order yields the sorted
-  // multiset union — the same sequence for any merge grouping.
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  std::stable_sort(samples_.begin(), samples_.end(), sample_less);
-  hist_.merge(other.hist_);
-  stats_.merge(other.stats_);
-}
-
-Timeline::Timeline() {
-  for (std::size_t i = 0; i < kSeriesCount; ++i) {
-    series_[i] = Series(series_histogram_spec(static_cast<SeriesId>(i)));
-  }
-}
-
-void Timeline::merge(const Timeline& other) {
-  for (std::size_t i = 0; i < kSeriesCount; ++i) series_[i].merge(other.series_[i]);
 }
 
 }  // namespace vafs::obs

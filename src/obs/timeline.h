@@ -1,9 +1,6 @@
 // Timeline series for the observability layer: named (sim-time, value)
-// sample streams with fixed-bin histograms. Histogram counts are integral
-// and merges are exact, so merging per-session timelines is associative
-// and order-independent (the property tests assert it); the floating
-// summary stats merge by parallel Welford, which is order-stable only up
-// to rounding.
+// sample streams. The Perfetto export, the timeline CSV and bench_f2 read
+// the samples as recorded.
 #pragma once
 
 #include <array>
@@ -11,48 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "simcore/stats.h"
 #include "simcore/time.h"
 
 namespace vafs::obs {
-
-struct HistogramSpec {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::uint32_t bins = 32;
-
-  bool operator==(const HistogramSpec&) const = default;
-};
-
-/// Fixed-bin counting histogram over [lo, hi); out-of-range samples land
-/// in saturating edge bins (kernel time_in_state style). Counts are u64,
-/// so merge (element-wise add) is exactly associative and commutative.
-class FixedBinHistogram {
- public:
-  FixedBinHistogram() : FixedBinHistogram(HistogramSpec{}) {}
-  explicit FixedBinHistogram(HistogramSpec spec);
-
-  void add(double value);
-  /// Element-wise count addition. Specs must match (asserted).
-  void merge(const FixedBinHistogram& other);
-
-  const HistogramSpec& spec() const { return spec_; }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_[bin]; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  bool operator==(const FixedBinHistogram& other) const {
-    return spec_ == other.spec_ && counts_ == other.counts_ && total_ == other.total_;
-  }
-
- private:
-  HistogramSpec spec_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// The well-known per-session series every instrumented session maintains.
 enum class SeriesId : std::uint8_t {
@@ -65,7 +23,6 @@ inline constexpr std::size_t kSeriesCount = 4;
 
 const char* series_name(SeriesId id);
 const char* series_unit(SeriesId id);
-HistogramSpec series_histogram_spec(SeriesId id);
 
 struct Sample {
   std::int64_t t_us = 0;
@@ -74,43 +31,27 @@ struct Sample {
   bool operator==(const Sample&) const = default;
 };
 
-/// One sample stream: retained samples (time order), a fixed-bin histogram
-/// and running summary stats.
+/// One sample stream, in time order.
 class Series {
  public:
-  Series() = default;
-  explicit Series(HistogramSpec spec) : hist_(spec) {}
-
-  void push(sim::SimTime at, double value);
-
-  /// Merges `other` into this series: samples are merge-sorted under the
-  /// total order (t_us, value-bits) — so repeated merges commute and
-  /// associate exactly — histograms add, stats merge (parallel Welford).
-  void merge(const Series& other);
-
+  void push(sim::SimTime at, double value) {
+    samples_.push_back(Sample{at.as_micros(), value});
+  }
   const std::vector<Sample>& samples() const { return samples_; }
-  const FixedBinHistogram& hist() const { return hist_; }
-  const sim::OnlineStats& stats() const { return stats_; }
 
  private:
   std::vector<Sample> samples_;
-  FixedBinHistogram hist_;
-  sim::OnlineStats stats_;
 };
 
 /// The fixed set of well-known series, preallocated so instrumented hot
 /// paths index an array instead of hashing names.
 class Timeline {
  public:
-  Timeline();
-
   void push(SeriesId id, sim::SimTime at, double value) {
     series_[static_cast<std::size_t>(id)].push(at, value);
   }
   Series& at(SeriesId id) { return series_[static_cast<std::size_t>(id)]; }
   const Series& at(SeriesId id) const { return series_[static_cast<std::size_t>(id)]; }
-
-  void merge(const Timeline& other);
 
  private:
   std::array<Series, kSeriesCount> series_;

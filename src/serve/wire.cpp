@@ -123,6 +123,13 @@ bool WireReader::u8(std::uint8_t& v) {
   return true;
 }
 
+bool WireReader::flag(bool& v) {
+  std::uint8_t b = 0;
+  if (!u8(b) || b > 1) return ok_ = false;
+  v = b != 0;
+  return true;
+}
+
 bool WireReader::u32(std::uint32_t& v) {
   if (!ok_ || size_ - pos_ < 4) return ok_ = false;
   v = get_u32(data_ + pos_);
@@ -189,7 +196,7 @@ bool decode_stream_info(const std::uint8_t* data, std::size_t size,
                         core::DecisionStreamInfo& info) {
   WireReader r(data, size);
   core::VafsConfig& c = info.config;
-  std::uint8_t kind = 0, race = 0, classes = 0, oracle = 0;
+  std::uint8_t kind = 0;
   std::uint64_t window = 0, low_ahead = 0, min_obs = 0;
   std::int64_t boost_us = 0;
   r.f64(c.safety_margin);
@@ -198,7 +205,7 @@ bool decode_stream_info(const std::uint8_t* data, std::size_t size,
   r.u64(window);
   r.f64(c.predictor.ewma_alpha);
   r.f64(c.predictor.quantile);
-  r.u8(race);
+  r.flag(c.race_to_idle_downloads);
   r.f64(c.protocol_cycles_per_byte);
   r.f64(c.default_throughput_mbps);
   r.f64(c.audio_cycles_per_frame);
@@ -206,18 +213,15 @@ bool decode_stream_info(const std::uint8_t* data, std::size_t size,
   r.u64(low_ahead);
   r.u64(min_obs);
   r.f64(c.cold_start_fraction);
-  r.u8(classes);
-  r.u8(oracle);
+  r.flag(c.class_aware);
+  r.flag(c.oracle);
   if (!r.ok()) return false;
   if (kind > static_cast<std::uint8_t>(core::PredictorKind::kQuantile)) return false;
   c.predictor.kind = static_cast<core::PredictorKind>(kind);
   c.predictor.window = static_cast<std::size_t>(window);
-  c.race_to_idle_downloads = race != 0;
   c.boost_duration = sim::SimTime::micros(boost_us);
   c.low_ahead_frames = low_ahead;
   c.min_observations = static_cast<std::size_t>(min_obs);
-  c.class_aware = classes != 0;
-  c.oracle = oracle != 0;
 
   core::DecisionGeometry& g = info.geometry;
   std::uint32_t n = 0;
@@ -238,7 +242,7 @@ bool decode_stream_info(const std::uint8_t* data, std::size_t size,
   }
   r.u32(g.primary);
   r.u32(g.network);
-  if (!r.ok()) return false;
+  if (!r.done()) return false;
   return g.primary < n && g.network < n;
 }
 
@@ -265,12 +269,12 @@ void encode_request(std::vector<std::uint8_t>& out, const core::DecisionRequest&
 
 bool decode_request(const std::uint8_t* data, std::size_t size, core::DecisionRequest& req) {
   WireReader r(data, size);
-  std::uint8_t event = 0, want = 0, state = 0, downloading = 0, idr = 0;
+  std::uint8_t event = 0, state = 0;
   r.u8(event);
-  r.u8(want);
+  r.flag(req.want_plan);
   r.i64(req.now_us);
   r.u8(state);
-  r.u8(downloading);
+  r.flag(req.downloading);
   r.u64(req.decoded_ahead);
   r.u64(req.decoded_frames);
   r.u64(req.total_frames);
@@ -280,15 +284,12 @@ bool decode_request(const std::uint8_t* data, std::size_t size, core::DecisionRe
   r.f64(req.oracle_decode_hz);
   r.u64(req.observe_rep);
   r.f64(req.observe_cycles);
-  r.u8(idr);
-  if (!r.ok()) return false;
+  r.flag(req.observe_idr);
+  if (!r.done()) return false;
   if (event > static_cast<std::uint8_t>(core::DecisionEvent::kQueryStats)) return false;
   if (state > static_cast<std::uint8_t>(core::DecisionPlayerState::kFinished)) return false;
   req.event = static_cast<core::DecisionEvent>(event);
-  req.want_plan = want != 0;
   req.player_state = static_cast<core::DecisionPlayerState>(state);
-  req.downloading = downloading != 0;
-  req.observe_idr = idr != 0;
   return true;
 }
 
@@ -307,20 +308,14 @@ void encode_response(std::vector<std::uint8_t>& out, const core::DecisionRespons
 
 bool decode_response(const std::uint8_t* data, std::size_t size, core::DecisionResponse& resp) {
   WireReader r(data, size);
-  std::uint8_t planned = 0, boosted = 0, critical = 0;
-  r.u8(planned);
-  r.u8(boosted);
-  r.u8(critical);
+  r.flag(resp.planned);
+  r.flag(resp.boosted);
+  r.flag(resp.latency_critical);
   r.u32(resp.decode_cluster);
   r.u32(resp.cluster_count);
   for (auto& khz : resp.target_khz) r.u32(khz);
   r.f64(resp.decode_mape);
-  if (!r.ok()) return false;
-  if (resp.cluster_count > core::kMaxDecisionClusters) return false;
-  resp.planned = planned != 0;
-  resp.boosted = boosted != 0;
-  resp.latency_critical = critical != 0;
-  return true;
+  return r.done() && resp.cluster_count <= core::kMaxDecisionClusters;
 }
 
 void encode_error(std::vector<std::uint8_t>& out, WireError code) {
@@ -331,8 +326,8 @@ void encode_error(std::vector<std::uint8_t>& out, WireError code) {
 bool decode_error(const std::uint8_t* data, std::size_t size, WireError& code) {
   WireReader r(data, size);
   std::uint32_t v = 0;
-  if (!r.u32(v)) return false;
-  if (v > static_cast<std::uint32_t>(WireError::kServerDraining)) return false;
+  r.u32(v);
+  if (!r.done() || v > static_cast<std::uint32_t>(WireError::kServerDraining)) return false;
   code = static_cast<WireError>(v);
   return true;
 }

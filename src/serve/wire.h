@@ -24,7 +24,8 @@
 // in-process controller's.
 //
 // Malformed input (bad magic, unknown version/type, oversized length,
-// checksum mismatch, short payload) decodes to a WireError; the server
+// checksum mismatch, a payload shorter or longer than its fields, a flag
+// byte other than 0 or 1) decodes to a WireError; the server
 // answers with an Error frame when the header was intact enough to reply
 // to, and drops the connection otherwise. VafsConfig's watchdog block is
 // not carried: the watchdog is actuation-side state the decision core
@@ -126,11 +127,16 @@ class WireReader {
  public:
   WireReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
   bool u8(std::uint8_t& v);
+  /// A bool: one byte that must be 0 or 1.
+  bool flag(bool& v);
   bool u32(std::uint32_t& v);
   bool u64(std::uint64_t& v);
   bool i64(std::int64_t& v);
   bool f64(double& v);
   bool ok() const { return ok_; }
+  /// Every read succeeded and consumed the buffer exactly: a payload with
+  /// bytes after its last field is refused.
+  bool done() const { return ok_ && pos_ == size_; }
   std::size_t remaining() const { return size_ - pos_; }
 
  private:

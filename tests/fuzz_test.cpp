@@ -596,6 +596,95 @@ std::vector<std::uint8_t> valid_frame(sim::Rng& rng) {
   return frame;
 }
 
+/// A payload of one of the four message types, with random field values.
+std::vector<std::uint8_t> random_payload(sim::Rng& rng) {
+  std::vector<std::uint8_t> out;
+  switch (rng.uniform_int(0, 3)) {
+    case 0: {
+      core::DecisionStreamInfo info;
+      info.config.safety_margin = std::bit_cast<double>(rng.next_u64());
+      info.config.oracle = rng.bernoulli(0.5);
+      info.geometry.clusters.resize(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+      for (auto& cl : info.geometry.clusters) {
+        cl.available_khz.resize(static_cast<std::size_t>(rng.uniform_int(1, 5)));
+        for (auto& khz : cl.available_khz) khz = static_cast<std::uint32_t>(rng.next_u64());
+        cl.capacity_khz = rng.uniform(0.0, 3e6);
+      }
+      info.geometry.network = static_cast<std::uint32_t>(info.geometry.clusters.size() - 1);
+      serve::encode_stream_info(out, info);
+      break;
+    }
+    case 1: {
+      core::DecisionRequest req;
+      req.event = core::DecisionEvent::kDecodeComplete;
+      req.downloading = rng.bernoulli(0.5);
+      req.now_us = static_cast<std::int64_t>(rng.next_u64());
+      req.observe_cycles = std::bit_cast<double>(rng.next_u64());
+      serve::encode_request(out, req);
+      break;
+    }
+    case 2: {
+      core::DecisionResponse resp;
+      resp.planned = rng.bernoulli(0.5);
+      resp.cluster_count = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+      for (auto& khz : resp.target_khz) khz = static_cast<std::uint32_t>(rng.next_u64());
+      resp.decode_mape = rng.uniform(0.0, 1.0);
+      serve::encode_response(out, resp);
+      break;
+    }
+    default:
+      serve::encode_error(out, static_cast<serve::WireError>(rng.uniform_int(0, 11)));
+  }
+  return out;
+}
+
+/// Bytes flipped, the payload cut short, bytes appended, or one byte set
+/// to 0 or 1 (so a flag stays a valid flag and a value changes).
+void mutate_payload(sim::Rng& rng, std::vector<std::uint8_t>* payload) {
+  const auto any_byte = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(payload->size()) - 1));
+  };
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      for (int f = static_cast<int>(rng.uniform_int(1, 3)); f > 0; --f) {
+        (*payload)[any_byte()] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+      }
+      break;
+    case 1: payload->resize(any_byte()); break;
+    case 2:
+      for (int n = static_cast<int>(rng.uniform_int(1, 4)); n > 0; --n) {
+        payload->push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+      }
+      break;
+    default: (*payload)[any_byte()] = static_cast<std::uint8_t>(rng.uniform_int(0, 1));
+  }
+}
+
+/// Runs `payload` through every payload decoder and returns how many accept
+/// it: each that does must re-encode its values to `payload` itself.
+int decoders_accepting(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::vector<std::uint8_t>> encoded;  // one per accepting decoder
+  core::DecisionStreamInfo info;
+  if (serve::decode_stream_info(payload.data(), payload.size(), info)) {
+    serve::encode_stream_info(encoded.emplace_back(), info);
+  }
+  core::DecisionRequest req;
+  if (serve::decode_request(payload.data(), payload.size(), req)) {
+    serve::encode_request(encoded.emplace_back(), req);
+  }
+  core::DecisionResponse resp;
+  if (serve::decode_response(payload.data(), payload.size(), resp)) {
+    serve::encode_response(encoded.emplace_back(), resp);
+  }
+  serve::WireError code = serve::WireError::kNone;
+  if (serve::decode_error(payload.data(), payload.size(), code)) {
+    serve::encode_error(encoded.emplace_back(), code);
+  }
+  for (const std::vector<std::uint8_t>& again : encoded) EXPECT_EQ(again, payload);
+  return static_cast<int>(encoded.size());
+}
+
 }  // namespace wire_fuzz
 
 class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -717,6 +806,22 @@ TEST_P(WireFuzz, MalformedFramesNeverCrashOrHangTheServer) {
   EXPECT_TRUE(resp.planned);
   server.stop();
   EXPECT_GT(server.stats().protocol_errors, 0u);
+}
+
+// A payload parses exactly or is refused: every payload a decoder accepts,
+// mutated or not, re-encodes to its own bytes, so no byte after the last
+// field and no flag byte other than 0 or 1 gets through.
+TEST_P(WireFuzz, AcceptedPayloadsReencodeToTheirOwnBytes) {
+  using namespace wire_fuzz;
+  sim::Rng rng(GetParam());
+  int accepted = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<std::uint8_t> payload = random_payload(rng);
+    ASSERT_GE(decoders_accepting(payload), 1);
+    mutate_payload(rng, &payload);
+    accepted += decoders_accepting(payload);
+  }
+  EXPECT_GT(accepted, 0);  // the leg reaches the accepting path on mutants too
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz,

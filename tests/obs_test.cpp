@@ -1,13 +1,10 @@
 // Property tests for the observability layer (src/obs/):
 //
-//   - histogram / timeline merges are exactly associative and
-//     order-independent (integral counts, total-order sample sort);
 //   - trace digests are invariant under the runner's --jobs width;
 //   - attaching a tracer changes *nothing* about a session's results
 //     (observer effect = 0, bit-for-bit);
 //   - span streams are well-formed even under fuzzed fault plans;
 //   - digest-only (ring_capacity = 0) and full-ring tracers agree.
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -28,95 +25,6 @@
 namespace {
 
 using namespace vafs;
-
-// ---------------------------------------------------------------------------
-// Histogram / series / timeline merge algebra.
-
-TEST(Histogram, EdgeBinsSaturate) {
-  obs::FixedBinHistogram h(obs::HistogramSpec{0.0, 10.0, 10});
-  h.add(-5.0);   // below lo -> bin 0
-  h.add(0.0);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(10.0);   // at hi -> bin 9 (saturating)
-  h.add(1e12);   // far above -> bin 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 3u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, MergeIsExactlyAssociativeAndCommutative) {
-  const obs::HistogramSpec spec{0.0, 100.0, 25};
-  sim::Rng rng(7);
-  for (int round = 0; round < 20; ++round) {
-    obs::FixedBinHistogram a(spec), b(spec), c(spec);
-    for (obs::FixedBinHistogram* h : {&a, &b, &c}) {
-      const int n = static_cast<int>(rng.next_u64() % 200);
-      for (int i = 0; i < n; ++i) h->add(rng.uniform(-20.0, 120.0));
-    }
-
-    // (a + b) + c
-    obs::FixedBinHistogram left(spec);
-    left.merge(a);
-    left.merge(b);
-    left.merge(c);
-    // a + (b + c), built in the other association
-    obs::FixedBinHistogram bc(spec);
-    bc.merge(b);
-    bc.merge(c);
-    obs::FixedBinHistogram right(spec);
-    right.merge(a);
-    right.merge(bc);
-    EXPECT_TRUE(left == right);
-
-    // c + b + a — commuted
-    obs::FixedBinHistogram commuted(spec);
-    commuted.merge(c);
-    commuted.merge(b);
-    commuted.merge(a);
-    EXPECT_TRUE(left == commuted);
-  }
-}
-
-std::vector<obs::Sample> merged_samples(const std::vector<obs::Series>& parts,
-                                        const std::vector<std::size_t>& order) {
-  obs::Series acc;
-  for (const std::size_t i : order) acc.merge(parts[i]);
-  return acc.samples();
-}
-
-TEST(Series, MergeIsOrderIndependent) {
-  sim::Rng rng(11);
-  for (int round = 0; round < 10; ++round) {
-    // Three series with overlapping time ranges and duplicate timestamps
-    // (the case plain time-sorting cannot disambiguate — the total order
-    // over (t, value-bits) can).
-    std::vector<obs::Series> parts(3);
-    for (auto& s : parts) {
-      const int n = 1 + static_cast<int>(rng.next_u64() % 50);
-      for (int i = 0; i < n; ++i) {
-        const auto t = sim::SimTime::micros(static_cast<std::int64_t>(rng.next_u64() % 1000));
-        s.push(t, rng.uniform(0.0, 5.0));
-      }
-    }
-    const auto base = merged_samples(parts, {0, 1, 2});
-    EXPECT_EQ(base, merged_samples(parts, {2, 1, 0}));
-    EXPECT_EQ(base, merged_samples(parts, {1, 0, 2}));
-    EXPECT_TRUE(std::is_sorted(base.begin(), base.end(), [](const auto& x, const auto& y) {
-      return x.t_us < y.t_us;
-    }));
-  }
-}
-
-TEST(Timeline, MergeCombinesEverySeries) {
-  obs::Timeline a, b;
-  a.push(obs::SeriesId::kFreqKhz, sim::SimTime::millis(1), 600000.0);
-  b.push(obs::SeriesId::kFreqKhz, sim::SimTime::millis(2), 1800000.0);
-  b.push(obs::SeriesId::kBufferSeconds, sim::SimTime::millis(3), 4.5);
-  a.merge(b);
-  EXPECT_EQ(a.at(obs::SeriesId::kFreqKhz).samples().size(), 2u);
-  EXPECT_EQ(a.at(obs::SeriesId::kBufferSeconds).samples().size(), 1u);
-  EXPECT_EQ(a.at(obs::SeriesId::kFreqKhz).hist().total(), 2u);
-}
 
 // ---------------------------------------------------------------------------
 // Digest determinism across the runner's parallelism.
@@ -335,7 +243,6 @@ TEST(TraceDigest, DigestOnlyModeMatchesFullRing) {
     const auto id = static_cast<obs::SeriesId>(k);
     SCOPED_TRACE(obs::series_name(id));
     EXPECT_TRUE(digest_only.timeline().at(id).samples().empty());
-    EXPECT_EQ(digest_only.timeline().at(id).hist().total(), 0u);
     EXPECT_FALSE(full.timeline().at(id).samples().empty());
   }
 }

@@ -327,6 +327,59 @@ TEST(ServeWire, HelloWithRolesOutsideTheGeometryIsRefused) {
   EXPECT_FALSE(serve::decode_stream_info(payload.data(), payload.size(), decoded));
 }
 
+/// The error code of the Error frame the server answers `frame` with.
+serve::WireError error_reply(int fd, const std::vector<std::uint8_t>& frame) {
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  serve::WireError code = serve::WireError::kNone;
+  if (!send_bytes(fd, frame) || !read_frame(fd, &header, &payload) ||
+      header.type != serve::MsgType::kError ||
+      !serve::decode_error(payload.data(), payload.size(), code)) {
+    ADD_FAILURE() << "no Error frame in reply";
+  }
+  return code;
+}
+
+// A payload is its fields and nothing after them. A Hello with 3 trailing
+// bytes and a Decide with 1 are refused with the short-payload error, and
+// the connection, whose framing is intact, goes on serving.
+TEST(ServeWire, PayloadsWithTrailingBytesAreRefused) {
+  serve::Server server({unique_socket_path("trailing"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+
+  std::vector<std::uint8_t> hello;
+  serve::encode_stream_info(hello, test_stream_info());
+  hello.insert(hello.end(), {0, 0, 0});
+  EXPECT_EQ(error_reply(fd, frame_of(serve::MsgType::kHello, 0, hello)),
+            serve::WireError::kShortPayload);
+
+  serve::FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(send_bytes(fd, hello_frame(0)));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  ASSERT_EQ(header.type, serve::MsgType::kHelloOk);
+
+  const core::DecisionRequest req = test_request();
+  std::vector<std::uint8_t> decide;
+  serve::encode_request(decide, req);
+  decide.push_back(0);
+  EXPECT_EQ(error_reply(fd, frame_of(serve::MsgType::kDecide, 0, decide)),
+            serve::WireError::kShortPayload);
+
+  ASSERT_TRUE(send_bytes(fd, decide_frame(0, req)));
+  ASSERT_TRUE(read_frame(fd, &header, &payload));
+  EXPECT_EQ(header.type, serve::MsgType::kDecision);
+  EXPECT_EQ(payload, in_process_reply(req));
+
+  close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().protocol_errors, 2u);
+  EXPECT_EQ(server.stats().streams_opened, 1u);
+  EXPECT_EQ(server.stats().requests, 1u);
+}
+
 // The corpus runs the one-cluster default device. Multi-cluster devices
 // send per-cluster tables, penalties, capacities and the primary/network
 // roles over the wire and get one target per cluster back; each served
@@ -714,6 +767,19 @@ TEST(ServeAllocation, SteadyStateRoundTripsAllocateNothing) {
   server.stop();
 }
 
+// The counter sees nothrow allocations too, and they pair with the replaced
+// delete: an ASan build aborts on an alloc-dealloc mismatch otherwise. The
+// allocation function is called directly, which no compiler may elide.
+TEST(ServeAllocation, NothrowAllocationsAreCounted) {
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  void* p = ::operator new(sizeof(int), std::nothrow);
+  g_count_allocations.store(false);
+  EXPECT_NE(p, nullptr);
+  ::operator delete(p);
+  EXPECT_EQ(g_allocations.load(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon lifecycle: the real vafsd binary.
 
@@ -884,14 +950,21 @@ TEST(VafsdLifecycle, BadUsageExitsTwo) {
 
 // Replaced global allocation functions: identical to the default ones
 // except for the count ServeAllocation reads. Kept out of line, so the
-// compiler pairs each new with this delete, not with its std::free.
-[[gnu::noinline]] void* operator new(std::size_t size) {
+// compiler pairs each new with this delete, not with its std::free. The
+// nothrow new is replaced too: a sanitizer's own nothrow new would hand
+// the replaced delete memory that std::free does not own.
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   if (vafs::g_count_allocations.load(std::memory_order_relaxed)) {
     vafs::g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
